@@ -16,12 +16,15 @@
 //       reuses the ShardPlan — its row buckets are the expensive part —
 //       across every query that shares it;
 //   (c) schedules the cross-product of queries × shards as ONE task set
-//       on the work-stealing executor (engine/parallel_executor.h), so
-//       shards of different queries interleave freely instead of
-//       synchronizing at per-query barriers;
-//   (d) calibrates the per-engine-family cost model ONCE per batch (the
-//       probe pass of engine/cost_model.h) and shares the fit with
-//       every plan, reusing the probe outputs as those shards' results.
+//       on the work-stealing executor, so shards of different queries
+//       interleave freely instead of synchronizing at per-query
+//       barriers.
+//
+// RunBatch is the general case of the one shard pipeline
+// (RunShardPipeline, engine/parallel_executor.h): it validates the
+// batch-level knobs and resolves the shared depth, and the pipeline does
+// the rest. A sharded RunJoin is a batch of one; so is a PatchJoin, with
+// a shard filter.
 //
 // Results are per-query EngineResults, tuple-identical to what a
 // sequential per-query RunJoin would produce (tests/batch_runner_test.cc
@@ -77,8 +80,7 @@ struct BatchOptions {
   int threads = 0;
 
   /// When nonzero, every plan splits until its shards' estimated peaks
-  /// fit (engine/shard_planner.h), through ONE cost model calibrated
-  /// once per batch.
+  /// — their restricted input payloads — fit (engine/shard_planner.h).
   size_t memory_budget_bytes = 0;
 
   /// Executor the batch draws its workers from. nullptr = the
@@ -133,8 +135,7 @@ struct BatchStats {
   size_t index_bytes = 0;
   size_t plans = 0;       ///< distinct output-space signatures planned
   size_t plan_bytes = 0;  ///< summed residency of the shared plans
-  /// Non-empty (query, shard) tasks handed to the executor (probe-reused
-  /// shards excluded — their work already happened in calibration).
+  /// Non-empty (query, shard) tasks handed to the executor.
   size_t tasks = 0;
   size_t threads = 0;  ///< workers the batch may occupy
   double wall_ms = 0.0;  ///< end-to-end batch wall time
@@ -171,7 +172,7 @@ struct BatchResult {
   /// (stats.sum_query_ms) <= stats.wall_ms.
   std::vector<EngineResult> results;
   BatchStats stats;
-  /// Batch-level diagnostics: calibration/probe reuse, plan sharing.
+  /// Batch-level diagnostics: plan and index sharing, deadline failures.
   std::string note;
 };
 

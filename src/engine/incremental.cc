@@ -11,32 +11,6 @@
 
 namespace tetris {
 
-namespace {
-
-bool IsPermutation(const std::vector<int>& order, int n) {
-  if (order.size() != static_cast<size_t>(n)) return false;
-  std::vector<bool> seen(n, false);
-  for (int v : order) {
-    if (v < 0 || v >= n || seen[v]) return false;
-    seen[v] = true;
-  }
-  return true;
-}
-
-bool ChoosesOwnSao(EngineKind kind) {
-  return kind == EngineKind::kTetrisPreloadedLB ||
-         kind == EngineKind::kTetrisReloadedLB;
-}
-
-EngineResult Failed(EngineKind kind, std::string error) {
-  EngineResult r;
-  r.stats.engine = kind;
-  r.error = std::move(error);
-  return r;
-}
-
-}  // namespace
-
 TupleTouch TouchedBoxOfTuple(const std::vector<int>& var_ids, int num_attrs,
                              int depth, const Tuple& t, DyadicBox* out) {
   DyadicBox box = DyadicBox::Universal(num_attrs);
@@ -93,6 +67,7 @@ PatchResult PatchJoin(const JoinQuery& query, EngineKind kind,
                       const std::vector<DyadicBox>& touched) {
   const auto t0 = std::chrono::steady_clock::now();
   PatchResult out;
+  out.result.stats.engine = kind;
   auto finish = [&t0, &out]() -> PatchResult& {
     const auto t1 = std::chrono::steady_clock::now();
     out.result.stats.wall_ms =
@@ -109,23 +84,12 @@ PatchResult PatchJoin(const JoinQuery& query, EngineKind kind,
     out.full_recompute = true;
     return finish();
   }
-  if (!options.order.empty()) {
-    if (ChoosesOwnSao(kind)) {
-      out.result =
-          Failed(kind, "order: Balance-lifted variants choose their own SAO");
-      return finish();
-    }
-    if (!IsPermutation(options.order, query.num_attrs())) {
-      out.result =
-          Failed(kind, "order: not a permutation of the query attribute ids");
-      return finish();
-    }
-  }
+  out.result.error = OrderHintError(kind, options.order, query.num_attrs());
+  if (!out.result.error.empty()) return finish();
 
   // Nothing touched: the old result is the new result, no planning.
   if (touched.empty()) {
     out.result.ok = true;
-    out.result.stats.engine = kind;
     out.result.tuples = old_tuples;
     out.result.stats.output_tuples = old_tuples.size();
     out.tuples_kept = old_tuples.size();
@@ -149,93 +113,52 @@ PatchResult PatchJoin(const JoinQuery& query, EngineKind kind,
     }
   }
 
-  WorkStealingPool& pool = options.executor != nullptr
-                               ? *options.executor
-                               : WorkStealingPool::Global();
-  ShardPlanOptions popts;
-  popts.shards = options.shards;
-  popts.threads_hint = pool.threads();
-  popts.memory_budget_bytes = options.memory_budget_bytes;
-  popts.depth = depth;
-  const ShardPlan plan = PlanShards(query, popts);
-  out.shards_total = plan.shards.size();
-
-  // Re-run exactly the shards whose subcube meets a touched box; a
-  // shard disjoint from every touched box is provably unchanged.
-  std::vector<int> rerun;
-  for (const Shard& shard : plan.shards) {
-    if (IntersectsAny(shard.box, touched)) rerun.push_back(shard.id);
+  // A batch of one through the shard pipeline, filtered to the shards
+  // whose subcube meets a touched box — a shard disjoint from every
+  // touched box is provably unchanged. The filter records every re-run
+  // box, empty shards included: their old tuples must go too.
+  std::vector<DyadicBox> rerun;
+  ShardQuery patch;
+  patch.query = &query;
+  if (options.indexes.size() == query.atoms().size()) {
+    patch.indexes = options.indexes;
   }
+  patch.filter = [&touched, &rerun](const DyadicBox& box) {
+    if (!IntersectsAny(box, touched)) return false;
+    rerun.push_back(box);
+    return true;
+  };
+  EngineResult fresh = std::move(
+      RunShardPipeline({patch}, kind, OneQueryBatch(options, depth))
+          .results[0]);
+  if (!fresh.ok) return full_run("shard failed (" + fresh.error + ")");
+  out.shards_total = fresh.stats.shards;
   out.shards_rerun = rerun.size();
-
-  // Fresh evaluation of the re-run shards, exactly the way a full
-  // sharded run evaluates all of them: zero-copy IndexViews for the
-  // Tetris family, lazily materialized copies for the baselines.
-  const std::optional<JoinAlgorithm> algo = TetrisAlgorithmOf(kind);
-  TetrisShardContext tctx;
-  if (algo.has_value()) {
-    std::vector<const Index*> shared_base;
-    if (options.indexes.size() == query.atoms().size()) {
-      shared_base = options.indexes;
-    }
-    tctx = MakeTetrisShardContext(query, *algo, depth, options.order,
-                                  std::move(shared_base));
-  }
-  EngineOptions shard_opts;
-  shard_opts.order = options.order;
-  shard_opts.depth = depth;
-  std::vector<EngineResult> fresh(rerun.size());
-  ParallelFor(&pool, options.threads, static_cast<int>(rerun.size()),
-              [&](int i) {
-                const Shard& shard = plan.shards[rerun[i]];
-                if (shard.empty) {
-                  // Some atom restricted to ∅ under the new data: the
-                  // box's output is empty without touching the engine.
-                  fresh[i].ok = true;
-                  fresh[i].stats.engine = kind;
-                  return;
-                }
-                fresh[i] = algo.has_value()
-                               ? RunTetrisViewShard(tctx, shard.box, kind)
-                               : RunMaterializedShard(query, plan, rerun[i],
-                                                      kind, shard_opts);
-              });
-  for (const EngineResult& r : fresh) {
-    if (!r.ok) return full_run("shard failed (" + r.error + ")");
-  }
 
   // Splice: keep old tuples outside every re-run box (unchanged by
   // construction), replace everything inside with the fresh outputs.
   EngineResult& res = out.result;
-  res.ok = true;
-  res.stats.engine = kind;
+  res = std::move(fresh);
+  out.tuples_patched = res.tuples.size();
   for (const Tuple& t : old_tuples) {
     bool in_rerun = false;
-    for (int sid : rerun) {
-      if (plan.shards[sid].box.ContainsPoint(t, depth)) {
+    for (const DyadicBox& box : rerun) {
+      if (box.ContainsPoint(t, depth)) {
         in_rerun = true;
         break;
       }
     }
-    if (!in_rerun) res.tuples.push_back(t);
-  }
-  out.tuples_kept = res.tuples.size();
-  for (EngineResult& r : fresh) {
-    out.tuples_patched += r.tuples.size();
-    res.tuples.insert(res.tuples.end(),
-                      std::make_move_iterator(r.tuples.begin()),
-                      std::make_move_iterator(r.tuples.end()));
-    AccumulateShardStats(&res.stats, r.stats);
+    if (!in_rerun) {
+      res.tuples.push_back(t);
+      ++out.tuples_kept;
+    }
   }
   std::sort(res.tuples.begin(), res.tuples.end());
   res.tuples.erase(std::unique(res.tuples.begin(), res.tuples.end()),
                    res.tuples.end());
   res.stats.output_tuples = res.tuples.size();
-  res.stats.shards = plan.shards.size();
-  res.stats.threads = static_cast<size_t>(pool.threads());
-  res.stats.plan_bytes = plan.PlanningBytes();
-  res.stats.memory.index_bytes =
-      std::max(res.stats.memory.index_bytes, tctx.base_index_bytes);
+  res.stats.memory.output_bytes =
+      EstimateAtomBytes(res.tuples.size(), query.num_attrs());
   out.note = "patched " + std::to_string(out.shards_rerun) + "/" +
              std::to_string(out.shards_total) + " shards from " +
              std::to_string(touched.size()) + " touched box(es); kept " +

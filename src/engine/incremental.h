@@ -13,14 +13,13 @@
 //     was that tuple — again all inside its touched box.
 //
 // PatchJoin exploits this through the existing dyadic-prefix shard
-// decomposition (engine/shard_planner.h): plan the output space into
-// disjoint subcubes, re-run ONLY the shards whose box intersects a
-// touched box (through the same shard primitives a full sharded run
-// uses — zero-copy IndexViews for the Tetris family, lazy materialized
-// copies for the baselines, scheduled on the work-stealing executor),
-// and splice the fresh shard outputs into the previous result: old
-// tuples inside a re-run box are dropped (the re-run recomputes that
-// box exactly), old tuples outside every re-run box are kept. The
+// decomposition (engine/shard_planner.h): it is a batch of one through
+// the shard pipeline (engine/parallel_executor.h) whose shard filter
+// keeps ONLY the shards whose box intersects a touched box — evaluated
+// exactly the way a full sharded run evaluates them — and then splices
+// the fresh shard outputs into the previous result: old tuples inside a
+// re-run box are dropped (the re-run recomputes that box exactly), old
+// tuples outside every re-run box are kept. The
 // splice is correct for inserts AND deletes, including delete-
 // everything: every destroyed output point lies in a touched box, so
 // its shard is re-run and returns without it.
@@ -68,7 +67,8 @@ std::vector<DyadicBox> TouchedOutputBoxes(const JoinQuery& query, int depth,
 /// Outcome of one patch run.
 struct PatchResult {
   /// The patched join result; `ok == false` carries the engine error
-  /// (same contract as RunJoin). Tuples are sorted and deduplicated.
+  /// (same contract as RunJoin). Tuples are sorted and deduplicated;
+  /// shard_runs lists the re-run shards only.
   EngineResult result;
   size_t shards_total = 0;  ///< shards in the plan
   size_t shards_rerun = 0;  ///< shards intersecting a touched box
@@ -86,8 +86,9 @@ struct PatchResult {
 /// be built over the post-delta relation versions; `touched` comes from
 /// TouchedOutputBoxes over every delta since `old_tuples` was computed.
 /// An empty `touched` returns `old_tuples` unchanged without planning.
-/// Options follow RunJoin semantics (order hint, depth, shard count,
-/// memory budget, executor); engines that cannot evaluate the query
+/// Options follow RunJoin semantics (order hint, depth, threads, memory
+/// budget, executor), except that `shards` has RunBatch's (0/1 = one
+/// shard); engines that cannot evaluate the query
 /// fail the same way RunJoin does. Never throws.
 PatchResult PatchJoin(const JoinQuery& query, EngineKind kind,
                       const EngineOptions& options,

@@ -41,21 +41,60 @@ std::optional<JoinAlgorithm> TetrisAlgorithmOf(EngineKind kind) {
 
 namespace {
 
-// The Balance-lifted variants choose their own SAO (join_runner asserts
-// sao.empty()), so an explicit order hint must be rejected up front.
-bool ChoosesOwnSao(EngineKind kind) {
-  return kind == EngineKind::kTetrisPreloadedLB ||
-         kind == EngineKind::kTetrisReloadedLB;
+// The grid depth a run uses: the explicit depth, else the caller-built
+// indexes' depth, else the data's minimum.
+int GridDepth(const JoinQuery& query, const EngineOptions& options) {
+  if (options.depth > 0) return options.depth;
+  return options.indexes.empty() ? query.MinDepth()
+                                 : options.indexes[0]->depth();
 }
 
-bool IsPermutation(const std::vector<int>& order, int n) {
-  if (order.size() != static_cast<size_t>(n)) return false;
-  std::vector<bool> seen(n, false);
-  for (int v : order) {
-    if (v < 0 || v >= n || seen[v]) return false;
-    seen[v] = true;
+// The engine's grid depth and every caller-built index's depth must
+// agree, or probes return gap boxes the space cannot split down to and
+// the run never terminates; each index must also match its atom.
+std::string CustomIndexError(const JoinQuery& query,
+                             const std::vector<const Index*>& indexes,
+                             int depth) {
+  for (size_t i = 0; i < indexes.size(); ++i) {
+    if (indexes[i]->depth() != depth) {
+      return "indexes: index depth disagrees with the engine depth "
+             "(build them at the same depth, or set EngineOptions::depth "
+             "to match)";
+    }
+    if (indexes[i]->arity() !=
+        static_cast<int>(query.atoms()[i].var_ids.size())) {
+      return "indexes: index arity disagrees with its atom";
+    }
   }
-  return true;
+  return "";
+}
+
+// RunJoin's sharded path: a batch of one through the shard pipeline
+// (engine/parallel_executor.h), behind RunJoin's index and depth checks.
+EngineResult RunShardedJoin(const JoinQuery& query, EngineKind kind,
+                            const EngineOptions& options) {
+  EngineResult result;
+  result.stats.engine = kind;
+  const int depth = GridDepth(query, options);
+  if (!options.indexes.empty() && !TetrisAlgorithmOf(kind).has_value()) {
+    result.error =
+        "indexes: only the Tetris family combines custom indexes with "
+        "sharded execution (views restrict probes to the shard box; the "
+        "baselines rescan materialized shard copies)";
+    return result;
+  }
+  result.error = CustomIndexError(query, options.indexes, depth);
+  if (result.error.empty() && depth < query.MinDepth()) {
+    result.error = "depth: too small for the data "
+                   "(need at least query.MinDepth())";
+  }
+  if (!result.error.empty()) return result;
+  ShardQuery shard_query;
+  shard_query.query = &query;
+  shard_query.indexes = options.indexes;
+  return std::move(
+      RunShardPipeline({shard_query}, kind, OneQueryBatch(options, depth))
+          .results[0]);
 }
 
 void Canonicalize(std::vector<Tuple>* tuples) {
@@ -169,6 +208,30 @@ bool EngineSupports(EngineKind kind, const JoinQuery& query) {
   return query.ToHypergraph().IsAlphaAcyclic();
 }
 
+std::string OrderHintError(EngineKind kind, const std::vector<int>& order,
+                           int num_attrs) {
+  if (order.empty()) return "";
+  std::vector<bool> seen(static_cast<size_t>(num_attrs), false);
+  bool permutation = order.size() == seen.size();
+  for (int v : order) {
+    if (v < 0 || v >= num_attrs || seen[v]) {
+      permutation = false;
+      break;
+    }
+    seen[v] = true;
+  }
+  if (!permutation) {
+    return "order: not a permutation of the query attribute ids";
+  }
+  // The Balance-lifted variants choose their own SAO (join_runner
+  // asserts sao.empty()), so an explicit hint is rejected up front.
+  if (kind == EngineKind::kTetrisPreloadedLB ||
+      kind == EngineKind::kTetrisReloadedLB) {
+    return "order: Balance-lifted variants choose their own SAO";
+  }
+  return "";
+}
+
 EngineResult RunJoin(const JoinQuery& query, EngineKind kind,
                      const EngineOptions& options) {
   EngineResult result;
@@ -176,16 +239,8 @@ EngineResult RunJoin(const JoinQuery& query, EngineKind kind,
   const auto start = std::chrono::steady_clock::now();
 
   const std::optional<JoinAlgorithm> tetris_algo = TetrisAlgorithmOf(kind);
-  if (!options.order.empty()) {
-    if (!IsPermutation(options.order, query.num_attrs())) {
-      result.error = "order: not a permutation of the query attribute ids";
-      return result;
-    }
-    if (ChoosesOwnSao(kind)) {
-      result.error = "order: Balance-lifted variants choose their own SAO";
-      return result;
-    }
-  }
+  result.error = OrderHintError(kind, options.order, query.num_attrs());
+  if (!result.error.empty()) return result;
   if (!options.indexes.empty() &&
       options.indexes.size() != query.atoms().size()) {
     result.error = "indexes: need exactly one index per query atom";
@@ -200,10 +255,10 @@ EngineResult RunJoin(const JoinQuery& query, EngineKind kind,
     return result;
   }
 
-  // Sharded execution: plan dyadic-prefix shards and fan out to the
-  // parallel executor, which re-enters RunJoin per shard with plain
-  // sequential options. A thread count other than 1 implies sharding
-  // (shards are the unit of parallelism).
+  // Sharded execution: a batch of one through the shard pipeline, whose
+  // baseline shards re-enter RunJoin with plain sequential options. A
+  // thread count other than 1 implies sharding (shards are the unit of
+  // parallelism).
   const bool wants_sharding =
       options.shards == kAutoShards || options.shards > 1 ||
       options.memory_budget_bytes > 0 || options.threads != 1;
@@ -212,7 +267,11 @@ EngineResult RunJoin(const JoinQuery& query, EngineKind kind,
     if (sharded.shards == 0 || sharded.shards == 1) {
       sharded.shards = kAutoShards;
     }
-    return RunShardedJoin(query, kind, sharded);
+    result = RunShardedJoin(query, kind, sharded);
+    result.stats.wall_ms = std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+    return result;
   }
 
   if (tetris_algo.has_value()) {
@@ -225,29 +284,13 @@ EngineResult RunJoin(const JoinQuery& query, EngineKind kind,
                      "(need at least query.MinDepth())";
       return result;
     }
-    int depth = options.depth > 0 ? options.depth : query.MinDepth();
+    const int depth = GridDepth(query, options);
     JoinRunResult run;
     if (!options.indexes.empty()) {
-      // The engine's grid depth and every index's depth must agree, or
-      // probes return gap boxes the space cannot split down to and the
-      // run never terminates. With no explicit depth, adopt the
-      // indexes' (still checking they agree among themselves and cover
-      // the data).
-      if (options.depth == 0) depth = options.indexes[0]->depth();
-      for (size_t i = 0; i < options.indexes.size(); ++i) {
-        if (options.indexes[i]->depth() != depth) {
-          result.error = "indexes: index depth disagrees with the "
-                         "engine depth (build them at the same depth, "
-                         "or set EngineOptions::depth to match)";
-          return result;
-        }
-        const Atom& atom = query.atoms()[i];
-        if (options.indexes[i]->arity() !=
-            static_cast<int>(atom.var_ids.size())) {
-          result.error = "indexes: index arity disagrees with its atom";
-          return result;
-        }
-      }
+      // With no explicit depth the run adopts the indexes' (still
+      // checking they agree among themselves and cover the data).
+      result.error = CustomIndexError(query, options.indexes, depth);
+      if (!result.error.empty()) return result;
       if (depth < query.MinDepth()) {
         result.error = "indexes: depth too small for the data "
                        "(need at least query.MinDepth())";

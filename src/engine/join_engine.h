@@ -57,6 +57,13 @@ const std::vector<EngineKind>& AllEngineKinds();
 /// everything else is universal).
 bool EngineSupports(EngineKind kind, const JoinQuery& query);
 
+/// Empty when `order` is an acceptable EngineOptions::order hint for
+/// `kind` over a `num_attrs`-attribute query (an empty hint always is);
+/// otherwise the error every entry point (RunJoin, RunBatch, PatchJoin)
+/// reports for it.
+std::string OrderHintError(EngineKind kind, const std::vector<int>& order,
+                           int num_attrs);
+
 /// The join_runner algorithm behind a Tetris-family kind; nullopt for
 /// the baselines. The sharded executor uses it to pick the zero-copy
 /// view path (Tetris family) over lazy materialization (baselines).
@@ -105,8 +112,9 @@ struct RunStats {
   size_t threads = 0;  ///< executor workers the run may occupy
   size_t max_shard_peak_bytes = 0;  ///< max MemoryStats::PeakBytes() over
                                     ///< shards — the budget-facing number
-  /// The planner's cost-model prediction of max_shard_peak_bytes
-  /// (engine/cost_model.h) — compare the two to audit the estimator.
+  /// The planner's prediction of max_shard_peak_bytes: the largest
+  /// shard's restricted input payload (EstimateAtomBytes summed over its
+  /// atoms, engine/shard_planner.h) — compare the two to audit it.
   size_t estimated_max_shard_peak_bytes = 0;
   /// Bytes the shard plan itself keeps resident (row buckets): 8 bytes
   /// per (atom, tuple), independent of the shard count.
@@ -180,10 +188,9 @@ struct EngineOptions {
   int threads = 1;
 
   /// When nonzero, the shard planner keeps splitting until every
-  /// shard's estimated peak resident bytes fit this budget (see
-  /// MemoryStats::PeakBytes), scaling payloads through a per-engine-
-  /// family cost model calibrated from a probe pass
-  /// (engine/cost_model.h); EngineResult::shard_note reports when it
+  /// shard's estimated peak resident bytes — its restricted input
+  /// payload (engine/shard_planner.h) — fit this budget (see
+  /// MemoryStats::PeakBytes); EngineResult::shard_note reports when it
   /// cannot, and carries the post-run prediction-vs-actual audit.
   /// Implies sharded execution.
   size_t memory_budget_bytes = 0;

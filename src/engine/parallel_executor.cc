@@ -3,10 +3,15 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <map>
+#include <memory>
+#include <optional>
 #include <string>
+#include <unordered_set>
 #include <utility>
 
+#include "engine/index_cache.h"
 #include "index/index_view.h"
 #include "index/sorted_index.h"
 
@@ -154,52 +159,74 @@ void ParallelFor(int threads, int n, const std::function<void(int)>& fn) {
   ParallelFor(nullptr, threads, n, fn);
 }
 
-void AccumulateShardStats(RunStats* into, const RunStats& s) {
-  into->tetris.Accumulate(s.tetris);
-  into->input_gap_boxes += s.input_gap_boxes;
-  into->oracle_probes += s.oracle_probes;
-  into->probes += s.probes;
-  into->seeks += s.seeks;
-  into->baseline.max_intermediate =
-      std::max(into->baseline.max_intermediate, s.baseline.max_intermediate);
-  into->baseline.total_intermediate += s.baseline.total_intermediate;
-  into->baseline.max_intermediate_bytes =
-      std::max(into->baseline.max_intermediate_bytes,
-               s.baseline.max_intermediate_bytes);
-  into->memory.kb_bytes = std::max(into->memory.kb_bytes, s.memory.kb_bytes);
-  into->memory.index_bytes =
-      std::max(into->memory.index_bytes, s.memory.index_bytes);
-  into->memory.intermediate_bytes =
-      std::max(into->memory.intermediate_bytes, s.memory.intermediate_bytes);
-  into->max_shard_peak_bytes =
-      std::max(into->max_shard_peak_bytes, s.memory.PeakBytes());
+void AppendNote(std::string* note, const std::string& s) {
+  if (s.empty()) return;
+  if (!note->empty()) *note += "; ";
+  *note += s;
 }
 
-TetrisShardContext MakeTetrisShardContext(
-    const JoinQuery& query, JoinAlgorithm algo, int depth,
-    std::vector<int> order, std::vector<const Index*> shared_base) {
-  TetrisShardContext ctx;
-  ctx.query = &query;
-  ctx.algo = algo;
-  ctx.depth = depth;
-  ctx.order = std::move(order);
-  if (!shared_base.empty()) {
-    ctx.base = std::move(shared_base);
-  } else if (ctx.order.empty()) {
-    for (const Atom& a : query.atoms()) {
-      ctx.owned.push_back(std::make_unique<SortedIndex>(*a.rel, depth));
-      ctx.base.push_back(ctx.owned.back().get());
-    }
-  } else {
-    ctx.owned = MakeSaoConsistentIndexes(query, ctx.order, depth);
-    ctx.base = IndexPtrs(ctx.owned);
-  }
-  for (const Index* ix : ctx.base) {
-    ctx.base_index_bytes += ix->MemoryBytes();
-  }
-  return ctx;
+namespace {
+
+constexpr const char kDeadlineError[] =
+    "deadline exceeded: task abandoned before it started";
+
+double MsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - start)
+      .count();
 }
 
+// Plan sharing within one pipeline run: OutputSpaceSignature with atoms
+// stamped by Relation address. Address identity is exactly right within
+// one call (the caller pins every relation) and deliberately NOT durable
+// across calls — the server's ResultCache stamps by name@epoch instead.
+std::string PlanSignature(const JoinQuery& query, int depth) {
+  return OutputSpaceSignature(query, depth, [](const Relation& rel) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%p", static_cast<const void*>(&rel));
+    return std::string(buf);
+  });
+}
+
+// The index layout an atom wants under an order hint: the atom's
+// columns sorted by SAO position (join_runner's MakeSaoConsistentIndexes
+// derivation), normalized to the empty layout when that comes out as the
+// relation's own column order — so hinted and unhinted queries share the
+// default-layout entry.
+IndexLayout LayoutFor(const Atom& atom, const std::vector<int>& sao_pos,
+                      int depth) {
+  IndexLayout layout;
+  layout.depth = depth;
+  if (sao_pos.empty()) return layout;
+  std::vector<int> cols(atom.var_ids.size());
+  for (size_t c = 0; c < cols.size(); ++c) cols[c] = static_cast<int>(c);
+  std::sort(cols.begin(), cols.end(), [&](int x, int y) {
+    return sao_pos[atom.var_ids[x]] < sao_pos[atom.var_ids[y]];
+  });
+  bool identity = true;
+  for (size_t c = 0; c < cols.size(); ++c) {
+    if (cols[c] != static_cast<int>(c)) identity = false;
+  }
+  if (!identity) layout.columns = std::move(cols);
+  return layout;
+}
+
+// Shared zero-copy state of one query's Tetris-family shards: base
+// indexes over the *original* relations (caller-built or from the index
+// cache), restricted per shard through IndexViews. Shards read the bases
+// concurrently under the Index const-probe contract.
+struct TetrisShardContext {
+  const JoinQuery* query = nullptr;
+  JoinAlgorithm algo = JoinAlgorithm::kTetrisPreloaded;
+  int depth = 0;
+  std::vector<int> order;
+  std::vector<const Index*> base;  // one per atom
+  size_t base_index_bytes = 0;
+};
+
+// One shard of a Tetris-family run: per-atom IndexViews confine every
+// probe and gap scan to the shard's box — no tuple is copied, no index
+// rebuilt — and are dropped when the shard finishes.
 EngineResult RunTetrisViewShard(const TetrisShardContext& ctx,
                                 const DyadicBox& shard_box,
                                 EngineKind kind) {
@@ -237,12 +264,14 @@ EngineResult RunTetrisViewShard(const TetrisShardContext& ctx,
   result.stats.memory.output_bytes =
       EstimateAtomBytes(result.tuples.size(), ctx.query->num_attrs());
   result.ok = true;
-  const auto end = std::chrono::steady_clock::now();
-  result.stats.wall_ms =
-      std::chrono::duration<double, std::milli>(end - start).count();
+  result.stats.wall_ms = MsSince(start);
   return result;
 }
 
+// The baselines' lazy path: the restricted copy exists only inside this
+// call — materialized when the worker picks the shard up, dropped when
+// it finishes — so at most `threads` shard copies are resident at once
+// instead of all 2^k.
 EngineResult RunMaterializedShard(const JoinQuery& query,
                                   const ShardPlan& plan, int shard_id,
                                   EngineKind kind,
@@ -258,93 +287,43 @@ EngineResult RunMaterializedShard(const JoinQuery& query,
   return r;
 }
 
-ShardCostModel CalibrateShardCostModel(const JoinQuery& query,
-                                       EngineKind kind,
-                                       const TetrisShardContext* tctx,
-                                       const EngineOptions& shard_opts,
-                                       int depth,
-                                       std::vector<ProbeRun>* probe_runs) {
-  ShardCostModel model;
-  model.family = EngineFamilyOf(kind);
-  struct Point {
-    size_t payload = 0;
-    RunStats stats;
-  };
-  std::vector<Point> points;
-  // Two scales: an 8-way plan (~1/8-scale probe) and a 4-way plan
-  // (~1/4-scale probe) — two points of the same curve the real shards
-  // lie on, so superlinear growth shows up as a steeper secant.
-  for (int scale_shards : {8, 4}) {
-    ShardPlanOptions probe_opts;
-    probe_opts.shards = scale_shards;
-    probe_opts.depth = depth;
-    ShardPlan probe = PlanShards(query, probe_opts);
-    int pick = -1;
-    size_t best = 0;
-    size_t total_payload = 0;
-    for (const Shard& s : probe.shards) {
-      total_payload += s.payload_bytes;
-      if (!s.empty && s.payload_bytes > best) {
-        best = s.payload_bytes;
-        pick = s.id;
-      }
-    }
-    // A probe worth running must be a fraction of the data: when the
-    // domain cannot split, or skew concentrates (almost) everything in
-    // one subcube, the "probe" would be a hidden near-full run that
-    // doubles wall time without teaching the model anything the real
-    // run won't — skip this scale.
-    if (probe.split_bits == 0 || best * 2 > total_payload) continue;
-    // Two clamped plans can degenerate to the same split; a repeated
-    // point teaches nothing.
-    bool duplicate = false;
-    for (const ProbeRun& pr : *probe_runs) {
-      if (pr.box == probe.shards[pick].box) duplicate = true;
-    }
-    if (duplicate) continue;
-    const EngineResult pr =
-        tctx != nullptr
-            ? RunTetrisViewShard(*tctx, probe.shards[pick].box, kind)
-            : RunMaterializedShard(query, probe, pick, kind, shard_opts);
-    if (!pr.ok) continue;
-    points.push_back({probe.shards[pick].payload_bytes, pr.stats});
-    ProbeRun kept;
-    kept.box = probe.shards[pick].box;
-    kept.payload_bytes = probe.shards[pick].payload_bytes;
-    kept.result = pr;
-    probe_runs->push_back(std::move(kept));
-  }
-  if (points.size() >= 2) {
-    model = FitShardCostModelAffine(kind, points[0].payload, points[0].stats,
-                                    points[1].payload, points[1].stats);
-  } else if (points.size() == 1) {
-    model = FitShardCostModel(kind, points[0].payload, points[0].stats);
-  }
-  return model;
+// Merges one shard's counters into the run total. Work counters add up;
+// the memory fields keep the per-shard *peak* — shards build and release
+// their resident structures independently, and the peak is what the
+// budget constrains.
+void AccumulateShardStats(RunStats* into, const RunStats& s) {
+  into->tetris.Accumulate(s.tetris);
+  into->input_gap_boxes += s.input_gap_boxes;
+  into->oracle_probes += s.oracle_probes;
+  into->probes += s.probes;
+  into->seeks += s.seeks;
+  into->baseline.max_intermediate =
+      std::max(into->baseline.max_intermediate, s.baseline.max_intermediate);
+  into->baseline.total_intermediate += s.baseline.total_intermediate;
+  into->baseline.max_intermediate_bytes =
+      std::max(into->baseline.max_intermediate_bytes,
+               s.baseline.max_intermediate_bytes);
+  into->memory.kb_bytes = std::max(into->memory.kb_bytes, s.memory.kb_bytes);
+  into->memory.index_bytes =
+      std::max(into->memory.index_bytes, s.memory.index_bytes);
+  into->memory.intermediate_bytes =
+      std::max(into->memory.intermediate_bytes, s.memory.intermediate_bytes);
+  into->max_shard_peak_bytes =
+      std::max(into->max_shard_peak_bytes, s.memory.PeakBytes());
 }
 
-void AppendNote(std::string* note, const std::string& s) {
-  if (s.empty()) return;
-  if (!note->empty()) *note += "; ";
-  *note += s;
-}
-
-std::string ProbeReuseNote(size_t probes_reused) {
-  if (probes_reused == 0) return "";
-  return "reused " + std::to_string(probes_reused) + " probe result" +
-         (probes_reused == 1 ? "" : "s") + " as shard output";
-}
-
-std::string EstimatorAuditNote(const ShardCostModel& model,
-                               size_t predicted_bytes, size_t actual_bytes) {
-  return "estimator(" + std::string(EngineFamilyName(model.family)) + ", " +
-         model.source + "): predicted max shard peak " +
-         std::to_string(predicted_bytes) + "B, actual " +
-         std::to_string(actual_bytes) + "B";
-}
-
+// Deterministic by-shard-id merge of one query's selected shards into one
+// facade EngineResult: concatenates tuples (then canonicalizes),
+// accumulates RunStats, fills shard_runs / the estimator fields from
+// `plan`, reports shards whose actual peak overran `memory_budget_bytes`
+// (0 = no budget) in shard_note, and surfaces `shared_index_bytes` (the
+// always-resident base indexes of a zero-copy run; 0 for materializing
+// engines) in the merged memory counters. `shard_results[i]` must hold
+// shard i's result for every selected non-empty plan shard; a failed
+// shard fails the merge (`ok == false`).
 EngineResult MergeShardRuns(const JoinQuery& query, EngineKind kind,
                             const ShardPlan& plan,
+                            const std::vector<bool>& selected,
                             std::vector<EngineResult> shard_results,
                             size_t memory_budget_bytes,
                             size_t shared_index_bytes) {
@@ -358,6 +337,7 @@ EngineResult MergeShardRuns(const JoinQuery& query, EngineKind kind,
   size_t worst_peak = 0;
   size_t worst_shard = 0;
   for (size_t i = 0; i < m; ++i) {
+    if (!selected[i]) continue;
     ShardRunInfo info;
     info.shard_id = static_cast<int>(i);
     info.box = plan.shards[i].box.ToString();
@@ -417,176 +397,269 @@ EngineResult MergeShardRuns(const JoinQuery& query, EngineKind kind,
   return result;
 }
 
-EngineResult RunShardedJoin(const JoinQuery& query, EngineKind kind,
-                            const EngineOptions& options) {
-  EngineResult result;
-  result.stats.engine = kind;
-  const auto start = std::chrono::steady_clock::now();
-  auto finish = [&start, &result]() -> EngineResult& {
-    const auto end = std::chrono::steady_clock::now();
-    result.stats.wall_ms =
-        std::chrono::duration<double, std::milli>(end - start).count();
-    return result;
-  };
+}  // namespace
 
-  const std::optional<JoinAlgorithm> algo = TetrisAlgorithmOf(kind);
-  if (!options.indexes.empty() && !algo.has_value()) {
-    result.error =
-        "indexes: only the Tetris family combines custom indexes with "
-        "sharded execution (views restrict probes to the shard box; the "
-        "baselines rescan materialized shard copies)";
-    return finish();
-  }
-  if (!EngineSupports(kind, query)) {
-    result.error = std::string(EngineKindName(kind)) +
-                   ": engine does not support this query";
-    return finish();
-  }
-  int depth = options.depth > 0 ? options.depth : query.MinDepth();
-  if (!options.indexes.empty() && options.depth == 0) {
-    depth = options.indexes[0]->depth();
-  }
-  for (size_t i = 0; i < options.indexes.size(); ++i) {
-    if (options.indexes[i]->depth() != depth) {
-      result.error = "indexes: index depth disagrees with the engine "
-                     "depth (build them at the same depth, or set "
-                     "EngineOptions::depth to match)";
-      return finish();
-    }
-    if (options.indexes[i]->arity() !=
-        static_cast<int>(query.atoms()[i].var_ids.size())) {
-      result.error = "indexes: index arity disagrees with its atom";
-      return finish();
-    }
-  }
-  if (depth < query.MinDepth()) {
-    result.error = "depth: too small for the data "
-                   "(need at least query.MinDepth())";
-    return finish();
-  }
+BatchOptions OneQueryBatch(const EngineOptions& options, int depth) {
+  BatchOptions batch;
+  batch.depth = depth;
+  batch.shards = options.shards;
+  batch.threads = options.threads;
+  batch.memory_budget_bytes = options.memory_budget_bytes;
+  batch.executor = options.executor;
+  if (!options.order.empty()) batch.orders.assign(1, options.order);
+  return batch;
+}
 
-  WorkStealingPool& pool =
-      options.executor != nullptr ? *options.executor
-                                  : WorkStealingPool::Global();
-  const int requested =
-      options.threads == 0 ? pool.threads() : std::max(1, options.threads);
+BatchResult RunShardPipeline(const std::vector<ShardQuery>& queries,
+                             EngineKind kind, const BatchOptions& options) {
+  BatchResult batch;
+  batch.ok = true;  // every failure below is per query
+  const size_t n = queries.size();
+  const int depth = options.depth;
+  const size_t budget = options.memory_budget_bytes;
+  batch.results.resize(n);
+  batch.stats.queries = n;
+  for (EngineResult& r : batch.results) r.stats.engine = kind;
 
-  // Zero-copy context for the Tetris family: base indexes built once,
-  // shared by every shard through IndexViews.
-  TetrisShardContext tctx;
-  if (algo.has_value()) {
-    tctx = MakeTetrisShardContext(query, *algo, depth, options.order,
-                                  options.indexes);
-  }
-  // The shared base indexes stay resident for the whole run no matter
-  // how fine the split — a budget below them is unsatisfiable by
-  // sharding, and pretending per-shard peaks settle it would be lying.
-  // Say so up front.
-  std::string base_note;
-  if (options.memory_budget_bytes > 0 &&
-      tctx.base_index_bytes > options.memory_budget_bytes) {
-    base_note =
-        "budget " + std::to_string(options.memory_budget_bytes) +
-        "B is below the shared base indexes (" +
-        std::to_string(tctx.base_index_bytes) +
-        "B), which stay resident for the whole run regardless of the "
-        "split — the budget can only constrain per-shard peaks on top "
-        "of them";
-  }
-
-  // Per-shard engine options for the materializing path: plain
-  // sequential runs at the plan's depth. The shard queries reuse the
-  // original attribute ids, so SAO/GAO hints stay valid.
-  EngineOptions shard_opts;
-  shard_opts.order = options.order;
-  shard_opts.depth = depth;
-
-  // Per-engine-family cost model, calibrated from up to two cheap probe
-  // passes when a budget is in play (engine/cost_model.h); probe
-  // outputs are kept and reused when the final plan contains the same
-  // subcube.
-  ShardCostModel model;
-  model.family = EngineFamilyOf(kind);
-  std::vector<ProbeRun> probes;
-  if (options.memory_budget_bytes > 0) {
-    model = CalibrateShardCostModel(
-        query, kind, algo.has_value() ? &tctx : nullptr, shard_opts, depth,
-        &probes);
-  }
-
-  ShardPlanOptions popt;
-  popt.shards = options.shards;
-  popt.threads_hint = requested;
-  popt.memory_budget_bytes = options.memory_budget_bytes;
-  popt.depth = depth;
-  popt.cost_model = &model;
-  ShardPlan plan = PlanShards(query, popt);
-  std::string plan_note = base_note;
-  AppendNote(&plan_note, plan.note);
-
-  const size_t m = plan.shards.size();
-  std::vector<EngineResult> shard_results(m);
-  // Probe reuse: a probe shard with the same subcube as a final-plan
-  // shard already IS that shard's result — dyadic splits nest, so same
-  // box means same restricted instance.
-  std::map<std::string, size_t> probe_by_box;
-  for (size_t p = 0; p < probes.size(); ++p) {
-    probe_by_box.emplace(probes[p].box.ToString(), p);
-  }
-  size_t probes_reused = 0;
-  std::vector<int> live;  // shard ids actually handed to the engine
-  for (size_t i = 0; i < m; ++i) {
-    if (plan.shards[i].empty) continue;
-    auto it = probe_by_box.find(plan.shards[i].box.ToString());
-    if (it != probe_by_box.end()) {
-      shard_results[i] = std::move(probes[it->second].result);
-      probe_by_box.erase(it);
-      ++probes_reused;
+  // Per-query support and order-hint checks, with RunJoin's wording: a
+  // query the engine cannot run fails alone; the rest of the batch runs.
+  std::vector<EngineOptions> shard_opts(n);
+  std::vector<size_t> live;  // runnable queries, in input order
+  for (size_t q = 0; q < n; ++q) {
+    const JoinQuery& query = *queries[q].query;
+    EngineResult& r = batch.results[q];
+    if (!EngineSupports(kind, query)) {
+      r.error = std::string(EngineKindName(kind)) +
+                ": engine does not support this query";
       continue;
     }
-    live.push_back(static_cast<int>(i));
+    if (!options.orders.empty()) shard_opts[q].order = options.orders[q];
+    r.error = OrderHintError(kind, shard_opts[q].order, query.num_attrs());
+    if (!r.error.empty()) continue;
+    shard_opts[q].depth = depth;
+    live.push_back(q);
   }
-  auto run_shard = [&](int i) {
-    shard_results[i] =
-        algo.has_value()
-            ? RunTetrisViewShard(tctx, plan.shards[i].box, kind)
-            : RunMaterializedShard(query, plan, i, kind, shard_opts);
-  };
-  const int workers = std::max(
-      1, std::min({requested, pool.threads(),
-                   static_cast<int>(live.size())}));
-  result.stats.threads = static_cast<size_t>(workers);
-  if (workers <= 1) {
-    for (int i : live) run_shard(i);
-  } else {
-    ParallelFor(&pool, workers, static_cast<int>(live.size()),
-                [&run_shard, &live](int j) { run_shard(live[j]); });
+  if (live.empty()) return batch;
+
+  // Base indexes for the Tetris family (the baselines scan relations):
+  // caller-built ones pass through; the rest come from the (relation,
+  // layout) cache — one build per distinct layout the batch touches, and
+  // zero on a warm long-lived cache (BatchOptions::index_cache).
+  const std::optional<JoinAlgorithm> algo = TetrisAlgorithmOf(kind);
+  IndexCache local_cache;
+  IndexCache& cache =
+      options.index_cache != nullptr ? *options.index_cache : local_cache;
+  std::vector<std::shared_ptr<const SortedIndex>> pinned;  // keep alive
+  std::unordered_set<const Index*> counted;
+  std::vector<TetrisShardContext> contexts(n);
+  if (algo.has_value()) {
+    for (size_t q : live) {
+      const JoinQuery& query = *queries[q].query;
+      TetrisShardContext& ctx = contexts[q];
+      ctx.query = &query;
+      ctx.algo = *algo;
+      ctx.depth = depth;
+      ctx.order = shard_opts[q].order;
+      ctx.base = queries[q].indexes;
+      if (ctx.base.empty()) {
+        std::vector<int> sao_pos;
+        if (!ctx.order.empty()) {
+          sao_pos.resize(query.num_attrs());
+          for (size_t i = 0; i < ctx.order.size(); ++i) {
+            sao_pos[ctx.order[i]] = static_cast<int>(i);
+          }
+        }
+        for (const Atom& atom : query.atoms()) {
+          bool built = false;
+          std::shared_ptr<const SortedIndex> ix =
+              cache.Get(atom.rel, LayoutFor(atom, sao_pos, depth), &built);
+          if (built) ++batch.stats.indexes_built;
+          else ++batch.stats.index_cache_hits;
+          ctx.base.push_back(ix.get());
+          pinned.push_back(std::move(ix));
+        }
+      }
+      for (const Index* ix : ctx.base) {
+        ctx.base_index_bytes += ix->MemoryBytes();
+        if (counted.insert(ix).second) {
+          batch.stats.index_bytes += ix->MemoryBytes();
+        }
+      }
+    }
   }
 
-  const size_t saved_threads = result.stats.threads;
-  result = MergeShardRuns(query, kind, plan, std::move(shard_results),
-                          options.memory_budget_bytes,
-                          algo.has_value() ? tctx.base_index_bytes : 0);
-  result.stats.threads = saved_threads;
-  if (!result.ok) {
-    // Keep the planner/budget diagnostics with the failure — an
-    // unsatisfiable-budget explanation must not vanish because a shard
-    // errored.
-    result.shard_runs.clear();
-    result.shard_note = std::move(plan_note);
-    return finish();
+  // Plan: one ShardPlan per distinct output-space signature — its row
+  // buckets are the expensive part, shared by every query over the same
+  // relations and binding. (Order hints don't enter the signature: they
+  // steer traversal, not the output space.) Auto mode sizes each plan so
+  // the whole batch has at least one task per worker; with many queries,
+  // query-level parallelism already covers the machine and plans stay
+  // single-shard. The budget estimate is the deterministic payload sum.
+  WorkStealingPool& pool = options.executor != nullptr
+                               ? *options.executor
+                               : WorkStealingPool::Global();
+  const int requested =
+      options.threads == 0 ? pool.threads() : std::max(1, options.threads);
+  ShardPlanOptions popt;
+  popt.shards = options.shards;
+  popt.threads_hint = static_cast<int>(
+      (static_cast<size_t>(requested) + live.size() - 1) / live.size());
+  popt.memory_budget_bytes = budget;
+  popt.depth = depth;
+  std::vector<ShardPlan> plans;
+  std::map<std::string, size_t> plan_of_signature;
+  std::vector<size_t> query_plan(n, 0);
+  for (size_t q : live) {
+    const JoinQuery& query = *queries[q].query;
+    auto [it, fresh] =
+        plan_of_signature.emplace(PlanSignature(query, depth), plans.size());
+    if (fresh) {
+      plans.push_back(PlanShards(query, popt));
+      batch.stats.plan_bytes += plans.back().PlanningBytes();
+    }
+    query_plan[q] = it->second;
   }
-  AppendNote(&plan_note, result.shard_note);
-  AppendNote(&plan_note, ProbeReuseNote(probes_reused));
-  if (options.memory_budget_bytes > 0) {
-    // Post-run estimator verification: the prediction is auditable, not
-    // just plausible — the reporter surfaces both numbers.
-    AppendNote(&plan_note,
-               EstimatorAuditNote(model, plan.max_estimated_peak_bytes,
-                                  result.stats.max_shard_peak_bytes));
+  batch.stats.plans = plans.size();
+
+  // Tasks: every selected non-empty (query, shard) pair becomes one
+  // executor task — no per-query barrier anywhere, so a skewed shard of
+  // one query overlaps with the shards of the others.
+  struct TaskRef {
+    size_t q = 0;
+    int shard = 0;
+  };
+  std::vector<TaskRef> tasks;
+  std::vector<std::vector<EngineResult>> shard_results(n);
+  std::vector<std::vector<bool>> selected(n);
+  for (size_t q : live) {
+    const ShardPlan& plan = plans[query_plan[q]];
+    shard_results[q].resize(plan.shards.size());
+    selected[q].assign(plan.shards.size(), true);
+    for (const Shard& shard : plan.shards) {
+      if (queries[q].filter && !queries[q].filter(shard.box)) {
+        selected[q][shard.id] = false;
+      } else if (!shard.empty) {
+        tasks.push_back({q, shard.id});
+      }
+    }
   }
-  result.shard_note = std::move(plan_note);
-  return finish();
+  batch.stats.tasks = tasks.size();
+
+  // Execute on the pool. The deadline is checked at task granularity: an
+  // unstarted task is abandoned and fails its query; a running one
+  // completes.
+  const int workers = std::max(
+      1, std::min({requested, pool.threads(), static_cast<int>(tasks.size())}));
+  batch.stats.threads = static_cast<size_t>(workers);
+  const bool has_deadline =
+      options.deadline != std::chrono::steady_clock::time_point{};
+  const auto exec_start = std::chrono::steady_clock::now();
+  ParallelFor(&pool, workers, static_cast<int>(tasks.size()), [&](int t) {
+    const TaskRef& task = tasks[static_cast<size_t>(t)];
+    const JoinQuery& query = *queries[task.q].query;
+    const ShardPlan& plan = plans[query_plan[task.q]];
+    EngineResult& slot = shard_results[task.q][task.shard];
+    if (has_deadline &&
+        std::chrono::steady_clock::now() >= options.deadline) {
+      slot.stats.engine = kind;
+      slot.error = kDeadlineError;
+    } else if (algo.has_value()) {
+      slot = RunTetrisViewShard(contexts[task.q], plan.shards[task.shard].box,
+                                kind);
+    } else if (plan.split_bits == 0) {
+      // A single-shard plan covers the whole output space: scan the
+      // original relations instead of materializing a copy equal to
+      // them.
+      slot = RunJoin(query, kind, shard_opts[task.q]);
+    } else {
+      slot = RunMaterializedShard(query, plan, task.shard, kind,
+                                  shard_opts[task.q]);
+    }
+  });
+  const double exec_ms = MsSince(exec_start);
+
+  // Wall-time attribution. Shard tasks of different queries ran
+  // concurrently, so summing a query's shard walls could let one query's
+  // "time" exceed the whole batch wall. Instead the summed task time is
+  // the batch's occupancy (stats.cpu_ms), and each query is attributed
+  // the execution wall split by its share of that occupancy — attributed
+  // times compare, and their sum never exceeds the batch wall.
+  std::vector<double> task_ms(n, 0.0);
+  std::vector<size_t> abandoned(n, 0);
+  for (size_t q : live) {
+    for (const EngineResult& r : shard_results[q]) {
+      if (!r.ok && r.error == kDeadlineError) ++abandoned[q];
+      else task_ms[q] += r.stats.wall_ms;
+    }
+    batch.stats.cpu_ms += task_ms[q];
+  }
+
+  // Merge, deterministically per query in input order.
+  size_t deadline_failures = 0;
+  for (size_t q : live) {
+    EngineResult& out = batch.results[q];
+    if (abandoned[q] > 0) {
+      out.error = "deadline exceeded: " + std::to_string(abandoned[q]) +
+                  " of " + std::to_string(shard_results[q].size()) +
+                  " shard tasks abandoned";
+      ++deadline_failures;
+      continue;
+    }
+    const ShardPlan& plan = plans[query_plan[q]];
+    const TetrisShardContext& ctx = contexts[q];
+    const double attributed_ms =
+        batch.stats.cpu_ms > 0.0
+            ? exec_ms * (task_ms[q] / batch.stats.cpu_ms)
+            : exec_ms / static_cast<double>(live.size());
+    out = MergeShardRuns(*queries[q].query, kind, plan, selected[q],
+                         std::move(shard_results[q]), budget,
+                         ctx.base_index_bytes);
+    out.stats.threads = batch.stats.threads;
+    out.stats.wall_ms = attributed_ms;
+    batch.stats.sum_query_ms += attributed_ms;
+    // The shared base indexes stay resident for the whole run no matter
+    // how fine the split — a budget below them is unsatisfiable by
+    // sharding, and pretending per-shard peaks settle it would be lying.
+    std::string note;
+    if (budget > 0 && ctx.base_index_bytes > budget) {
+      note = "budget " + std::to_string(budget) +
+             "B is below the shared base indexes (" +
+             std::to_string(ctx.base_index_bytes) +
+             "B), which stay resident for the whole run regardless of the "
+             "split — the budget can only constrain per-shard peaks on top "
+             "of them";
+    }
+    AppendNote(&note, plan.note);
+    AppendNote(&note, out.shard_note);
+    if (out.ok && budget > 0) {
+      // Post-run estimator audit: the prediction is printed next to the
+      // actual value it predicts.
+      AppendNote(&note, "estimator(payload): predicted max shard peak " +
+                            std::to_string(plan.max_estimated_peak_bytes) +
+                            "B, actual " +
+                            std::to_string(out.stats.max_shard_peak_bytes) +
+                            "B");
+    }
+    out.shard_note = std::move(note);
+  }
+
+  std::string serve_note =
+      std::to_string(batch.stats.plans) + " plan" +
+      (batch.stats.plans == 1 ? "" : "s") + " and " +
+      std::to_string(batch.stats.indexes_built) +
+      " base index builds served " + std::to_string(live.size()) +
+      (live.size() == 1 ? " query" : " queries");
+  if (batch.stats.index_cache_hits > 0) {
+    serve_note += " (" + std::to_string(batch.stats.index_cache_hits) +
+                  " index cache hits)";
+  }
+  AppendNote(&batch.note, serve_note);
+  if (deadline_failures > 0) {
+    AppendNote(&batch.note, std::to_string(deadline_failures) +
+                                (deadline_failures == 1 ? " query" : " queries") +
+                                " failed on the deadline");
+  }
+  return batch;
 }
 
 }  // namespace tetris

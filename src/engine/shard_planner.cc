@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "engine/cost_model.h"
 #include "relation/relation_view.h"
 
 namespace tetris {
@@ -134,14 +133,13 @@ size_t ShardPayload(const JoinQuery& query,
   return payload;
 }
 
-// Estimated peak resident bytes of the costliest shard under `model`.
+// Estimated peak resident bytes of the costliest shard.
 size_t MaxShardEstimate(const JoinQuery& query,
                         const std::vector<ShardPlan::AtomBuckets>& buckets,
-                        int k, const ShardCostModel& model) {
+                        int k) {
   size_t worst = 0;
   for (int id = 0; id < (1 << k); ++id) {
-    worst = std::max(worst,
-                     model.EstimatePeak(ShardPayload(query, buckets, id)));
+    worst = std::max(worst, ShardPayload(query, buckets, id));
   }
   return worst;
 }
@@ -192,9 +190,6 @@ ShardPlan PlanShards(const JoinQuery& query, const ShardPlanOptions& options) {
   ShardPlan plan;
   plan.depth = options.depth > 0 ? options.depth : query.MinDepth();
   const int n = query.num_attrs();
-  const ShardCostModel default_model;  // payload proxy, slope 1
-  const ShardCostModel& model =
-      options.cost_model != nullptr ? *options.cost_model : default_model;
   // The domain has n*depth prefix bits in total; splitting beyond that
   // would create shards finer than single points. 20 bits (1M shards) is
   // a hard sanity ceiling on top. max_split_bits caps only budget/auto
@@ -234,14 +229,14 @@ ShardPlan PlanShards(const JoinQuery& query, const ShardPlanOptions& options) {
     // Adaptive split: grow k while some shard's estimate exceeds the
     // budget. Explicitly requested shard counts are honoured as the
     // floor; the budget can only make the split finer.
-    size_t est = MaxShardEstimate(query, plan.buckets, k, model);
+    size_t est = MaxShardEstimate(query, plan.buckets, k);
     while (est > options.memory_budget_bytes && k < growth_cap) {
       std::vector<int> next = SplitDims(n, plan.depth, k + 1);
       if (static_cast<int>(next.size()) <= k) break;  // domain exhausted
       plan.split_dims = std::move(next);
       k = static_cast<int>(plan.split_dims.size());
       plan.buckets = BucketAllAtoms(query, plan.split_dims, plan.depth);
-      est = MaxShardEstimate(query, plan.buckets, k, model);
+      est = MaxShardEstimate(query, plan.buckets, k);
     }
     if (est > options.memory_budget_bytes) {
       plan.budget_ok = false;
@@ -249,8 +244,8 @@ ShardPlan PlanShards(const JoinQuery& query, const ShardPlanOptions& options) {
                   " cannot be met: the finest allowed split (2^" +
                   std::to_string(k) +
                   " shards) still has an estimated per-shard peak of " +
-                  HumanBytes(est) + " (cost model: " + model.source +
-                  ") — a single tuple's footprint may already exceed "
+                  HumanBytes(est) +
+                  " — a single tuple's footprint may already exceed "
                   "the budget");
     }
   }
@@ -270,7 +265,7 @@ ShardPlan PlanShards(const JoinQuery& query, const ShardPlanOptions& options) {
       shard.payload_bytes += EstimateAtomBytes(
           count, static_cast<int>(query.atoms()[a].var_ids.size()));
     }
-    shard.estimated_peak_bytes = model.EstimatePeak(shard.payload_bytes);
+    shard.estimated_peak_bytes = shard.payload_bytes;
     plan.max_estimated_peak_bytes =
         std::max(plan.max_estimated_peak_bytes, shard.estimated_peak_bytes);
     plan.shards.push_back(shard);

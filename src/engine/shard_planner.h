@@ -26,10 +26,13 @@
 // the shard finishes (the baselines' lazy path).
 //
 // The planner is memory-aware: given a budget, it increases k until the
-// estimated resident footprint of every shard fits — scaling each
-// shard's restricted payload through a per-engine-family cost model
-// (engine/cost_model.h) when the executor supplies one — and reports,
-// rather than hangs or lies, when no split can satisfy the budget.
+// estimated resident footprint of every shard fits, and reports, rather
+// than hangs or lies, when no split can satisfy the budget. The estimate
+// is deterministic: a shard's restricted input payload (EstimateAtomBytes
+// summed over its atoms). It cannot see engine-internal growth such as
+// the Tetris knowledge base, so every budgeted run prints it next to the
+// measured per-shard peak (RunStats::estimated_max_shard_peak_bytes vs
+// max_shard_peak_bytes, and the "estimator(...)" shard note).
 #ifndef TETRIS_ENGINE_SHARD_PLANNER_H_
 #define TETRIS_ENGINE_SHARD_PLANNER_H_
 
@@ -43,8 +46,6 @@
 #include "relation/relation.h"
 
 namespace tetris {
-
-struct ShardCostModel;  // engine/cost_model.h
 
 /// Planner knobs.
 struct ShardPlanOptions {
@@ -70,12 +71,6 @@ struct ShardPlanOptions {
   /// to the domain itself (num_attrs * depth prefix bits) and a hard
   /// 2^20-shard ceiling.
   int max_split_bits = 8;
-
-  /// Maps a shard's restricted payload to its estimated peak resident
-  /// bytes. nullptr = the uncalibrated payload proxy (slope 1). The
-  /// executor calibrates one per run from a probe pass
-  /// (engine/cost_model.h).
-  const ShardCostModel* cost_model = nullptr;
 };
 
 /// One independent unit of work: a subcube of the output space plus
@@ -84,10 +79,9 @@ struct ShardPlanOptions {
 struct Shard {
   int id = 0;
   DyadicBox box;  ///< the subcube, over query attribute dimensions
-  /// Restricted input payload: what a materialized copy would occupy
-  /// (the cost model's input).
+  /// Restricted input payload: what a materialized copy would occupy.
   size_t payload_bytes = 0;
-  /// The cost model's peak estimate for this shard.
+  /// The planner's peak estimate for this shard: its payload.
   size_t estimated_peak_bytes = 0;
   bool empty = false;  ///< some atom restricted to ∅ — output is empty
 };

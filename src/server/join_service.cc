@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "engine/batch_runner.h"
-#include "engine/cost_model.h"
 #include "engine/incremental.h"
 #include "engine/parallel_executor.h"
 #include "engine/shard_planner.h"
@@ -104,9 +103,7 @@ size_t JoinService::PredictPeakBytes(const QueryRequest& request) const {
     if (v == nullptr) continue;  // resolution fails later, with its own error
     payload += EstimateAtomBytes(v->rel->size(), v->rel->arity());
   }
-  ShardCostModel model;
-  model.family = EngineFamilyOf(request.engine);
-  return model.EstimatePeak(payload);
+  return payload;
 }
 
 QueryResponse JoinService::Execute(const QueryRequest& request) {

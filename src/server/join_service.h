@@ -7,11 +7,12 @@
 //      concurrently. A query over the limit QUEUES (bounded by
 //      max_queued) until a slot frees or its deadline passes, unless
 //      shedding applies first: the queue is full, or the query's
-//      predicted peak cost (the shard cost model's payload proxy over
-//      the snapshot's relation sizes, engine/cost_model.h) exceeds
-//      shed_cost_bytes — expensive queries are the ones that would hold
-//      the slot longest, so they shed first. max_queued == 0 restores
-//      the original reject-immediately behavior.
+//      predicted peak cost (the shard planner's payload estimate,
+//      EstimateAtomBytes summed over the snapshot's relation sizes,
+//      engine/shard_planner.h) exceeds shed_cost_bytes — expensive
+//      queries are the ones that would hold the slot longest, so they
+//      shed first. max_queued == 0 restores the original
+//      reject-immediately behavior.
 //   2. SNAPSHOT — RelationRegistry::Snap() pins every named relation
 //      version the query touches; concurrent Replace/Append cannot tear
 //      the data out from under it.
@@ -63,8 +64,8 @@ struct ServiceOptions {
   /// one more is rejected. 0 = reject immediately at the limit (the
   /// original admission behavior).
   size_t max_queued = 0;
-  /// When queuing, a query whose predicted peak resident bytes (shard
-  /// cost model payload proxy) exceed this is shed instead of queued —
+  /// When queuing, a query whose predicted peak resident bytes (the
+  /// shard planner's payload estimate) exceed this is shed instead of queued —
   /// it would hold an execution slot longest. 0 = never shed by cost.
   size_t shed_cost_bytes = 0;
   /// Deadline applied to queries that don't carry their own. 0 = none.
@@ -158,8 +159,8 @@ class JoinService {
   uint64_t patched() const { return patched_.load(); }  ///< patch-served
 
  private:
-  // The admission cost estimate: the uncalibrated shard-cost-model
-  // payload proxy over the snapshot sizes of the named relations.
+  // The admission cost estimate: EstimateAtomBytes summed over the
+  // snapshot sizes of the named relations.
   size_t PredictPeakBytes(const QueryRequest& request) const;
 
   const ServiceOptions options_;

@@ -2,7 +2,7 @@
 // tuple-identical to per-query RunJoin on every engine, deterministic
 // across thread counts and query order, and the amortization stats must
 // show the sharing (indexes built once per relation, plans once per
-// signature, one calibration per batch).
+// signature).
 
 #include "engine/batch_runner.h"
 
@@ -12,7 +12,6 @@
 
 #include <gtest/gtest.h>
 
-#include "engine/cost_model.h"
 #include "engine/index_cache.h"
 #include "engine/parallel_executor.h"
 #include "workload/generators.h"
@@ -63,8 +62,6 @@ TEST(BatchRunnerTest, MatchesSequentialUnderShardingAndBudget) {
     budgeted.memory_budget_bytes = 16 << 10;
     BatchResult b = RunBatch(inst.pool, inst.queries, kind, budgeted);
     ExpectMatchesSequential(inst, b, kind);
-    EXPECT_NE(b.note.find("cost model calibrated once"), std::string::npos)
-        << b.note;
   }
 }
 

@@ -254,11 +254,15 @@ TEST(JoinServiceTest, QueuedQueriesWaitForASlotInsteadOfRejecting) {
 
   QueryRequest slow = Triangle(EngineKind::kPairwiseNestedLoop);
   slow.use_cache = false;
+  std::atomic<bool> done{false};
   std::thread worker([&]() {
     const QueryResponse r = service.Execute(slow);
     EXPECT_TRUE(r.result->ok) << r.result->error;
+    done.store(true);
   });
-  while (service.inflight() == 0) std::this_thread::yield();
+  // Wait until the slow query holds the slot — or has already finished,
+  // which a loaded machine allows; the assertions below accept both.
+  while (service.inflight() == 0 && !done.load()) std::this_thread::yield();
 
   // This probe lands while the slot is held: it queues (never a
   // rejection) and completes once the slow query drains.
@@ -283,11 +287,15 @@ TEST(JoinServiceTest, QueuedDeadlineExpiresAsARejection) {
 
   QueryRequest slow = Triangle(EngineKind::kPairwiseNestedLoop);
   slow.use_cache = false;
+  std::atomic<bool> done{false};
   std::thread worker([&]() {
     const QueryResponse r = service.Execute(slow);
     EXPECT_TRUE(r.result->ok) << r.result->error;
+    done.store(true);
   });
-  while (service.inflight() == 0) std::this_thread::yield();
+  // Wait until the slow query holds the slot — or has already finished,
+  // which a loaded machine allows; the assertions below accept both.
+  while (service.inflight() == 0 && !done.load()) std::this_thread::yield();
 
   // While the slot is held, a tightly-deadlined probe queues and then
   // expires in the queue rather than blocking forever. (If the slow

@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <set>
 
-#include "engine/cost_model.h"
 #include "index/sorted_index.h"
 #include "workload/generators.h"
 
@@ -192,109 +191,6 @@ TEST(ShardPlannerTest, RestrictedQueriesKeepAttributeIds) {
                 q.query.atoms()[a].var_ids);
     }
   }
-}
-
-TEST(ShardPlannerTest, CostModelScalesTheEstimatesAndTheSplit) {
-  QueryInstance q = RandomTriangle(/*tuples_per_rel=*/60, /*d=*/5,
-                                   /*seed=*/21);
-  ShardPlan proxy = PlanShards(q.query, {});
-  ASSERT_GT(proxy.max_estimated_peak_bytes, 0u);
-
-  // A slope-4 model quadruples every estimate...
-  ShardCostModel model;
-  model.family = EngineFamily::kTetris;
-  model.bytes_per_payload_byte = 4.0;
-  model.calibrated = true;
-  model.source = "test(slope=4)";
-  ShardPlanOptions opts;
-  opts.cost_model = &model;
-  ShardPlan scaled = PlanShards(q.query, opts);
-  EXPECT_EQ(scaled.max_estimated_peak_bytes,
-            model.EstimatePeak(proxy.shards[0].payload_bytes));
-  EXPECT_GE(scaled.max_estimated_peak_bytes,
-            4 * proxy.max_estimated_peak_bytes);
-
-  // ...so under the same budget the calibrated planner splits finer
-  // than the payload proxy: it anticipates the engine-internal growth.
-  ShardPlanOptions budget;
-  budget.shards = -1;
-  budget.memory_budget_bytes = proxy.max_estimated_peak_bytes / 2;
-  ShardPlan coarse = PlanShards(q.query, budget);
-  budget.cost_model = &model;
-  ShardPlan fine = PlanShards(q.query, budget);
-  EXPECT_GT(fine.split_bits, coarse.split_bits);
-}
-
-TEST(CostModelTest, AffineFitInterpolatesAndAnchorsBothPoints) {
-  // Materializing family (pairwise-hash): the dominant metric is the
-  // largest intermediate. Two probe points with slope 2 and a genuine
-  // offset of 200.
-  RunStats a;
-  a.memory.intermediate_bytes = 400;
-  RunStats b;
-  b.memory.intermediate_bytes = 600;
-  ShardCostModel m = FitShardCostModelAffine(EngineKind::kPairwiseHash,
-                                             100, a, 200, b);
-  EXPECT_TRUE(m.calibrated);
-  EXPECT_DOUBLE_EQ(m.bytes_per_payload_byte, 2.0);
-  EXPECT_DOUBLE_EQ(m.intercept_bytes, 200.0);
-  EXPECT_EQ(m.EstimatePeak(100), 400u);
-  EXPECT_EQ(m.EstimatePeak(200), 600u);
-  EXPECT_EQ(m.EstimatePeak(300), 800u);
-  EXPECT_NE(m.source.find("probe2"), std::string::npos);
-}
-
-TEST(CostModelTest, AffineFitStopsUnderestimatingSuperlinearGrowth) {
-  // Metric quadruples when payload doubles — superlinear intermediates.
-  // The one-point through-the-origin slope from the large probe alone
-  // underestimates bigger shards; the secant does not.
-  RunStats small;
-  small.memory.intermediate_bytes = 100;
-  RunStats large;
-  large.memory.intermediate_bytes = 400;
-  ShardCostModel affine = FitShardCostModelAffine(
-      EngineKind::kPairwiseHash, 100, small, 200, large);
-  ShardCostModel one_point =
-      FitShardCostModel(EngineKind::kPairwiseHash, 200, large);
-  // Secant slope 3 > through-origin slope 2: full-size shards (payload
-  // 400) get a strictly larger — safer — estimate.
-  EXPECT_GT(affine.EstimatePeak(400), one_point.EstimatePeak(400));
-  // Neither probe point is underestimated.
-  EXPECT_GE(affine.EstimatePeak(100), 100u);
-  EXPECT_GE(affine.EstimatePeak(200), 400u);
-}
-
-TEST(CostModelTest, AffineFitDegradesToOnePointAndProxy) {
-  RunStats s;
-  s.memory.output_bytes = 512;
-  // Coinciding payloads: no secant — same fit as the one-point model on
-  // the (larger) probe.
-  ShardCostModel coincide =
-      FitShardCostModelAffine(EngineKind::kLeapfrog, 128, s, 128, s);
-  ShardCostModel single = FitShardCostModel(EngineKind::kLeapfrog, 128, s);
-  EXPECT_DOUBLE_EQ(coincide.bytes_per_payload_byte,
-                   single.bytes_per_payload_byte);
-  EXPECT_EQ(coincide.source, single.source);
-  // No signal at all: the uncalibrated payload proxy.
-  ShardCostModel proxy =
-      FitShardCostModelAffine(EngineKind::kLeapfrog, 0, s, 0, s);
-  EXPECT_FALSE(proxy.calibrated);
-  EXPECT_DOUBLE_EQ(proxy.bytes_per_payload_byte, 1.0);
-}
-
-TEST(CostModelTest, NoisyDecreasingPairKeepsAPositiveSlope) {
-  // A smaller metric at the larger payload (noise) must not fit a
-  // negative slope; the floor keeps estimates monotone and safe.
-  RunStats a;
-  a.memory.intermediate_bytes = 500;
-  RunStats b;
-  b.memory.intermediate_bytes = 300;
-  ShardCostModel m = FitShardCostModelAffine(EngineKind::kPairwiseHash,
-                                             100, a, 200, b);
-  EXPECT_GE(m.bytes_per_payload_byte, 1.0);
-  // Both probe points stay covered.
-  EXPECT_GE(m.EstimatePeak(100), 500u);
-  EXPECT_GE(m.EstimatePeak(200), 300u);
 }
 
 TEST(ShardPlannerTest, PlanningBytesStayFlatAsTheSplitGrows) {
