@@ -84,7 +84,6 @@ int main(int argc, char** argv) {
       TetrisOptions opt;
       opt.init = TetrisOptions::Init::kPreloaded;
       opt.cache_resolvents = cache;
-      opt.single_pass = true;
       TetrisStats stats;
       if (!IsFullyCovered(oracle, space, opt, &stats)) {
         std::printf("!! EXPECTED FULL COVER\n");

@@ -489,10 +489,11 @@ void RunReporter::Section(const std::string& title) {
 }
 
 void RunReporter::PrintTableHeader() {
-  std::printf("%-22s %-34s %-26s %9s %9s %10s %8s %8s %8s %8s %8s %8s %8s %8s\n",
+  std::printf("%-22s %-34s %-26s %9s %9s %10s %10s %8s %8s %8s %8s %8s %8s "
+              "%8s %8s\n",
               "scenario", "params", "engine", "tuples", "wall_ms",
-              "resolns", "loaded", "probes", "seeks", "max_int", "kb_KiB",
-              "idx_KiB", "int_KiB", "out_KiB");
+              "resolns", "skel_nodes", "loaded", "probes", "seeks", "max_int",
+              "kb_KiB", "idx_KiB", "int_KiB", "out_KiB");
   table_header_printed_ = true;
 }
 
@@ -516,12 +517,13 @@ void RunReporter::EmitRow(const char* row_type, const std::string& scenario,
                     detail.c_str(), engine_name, error.c_str());
         return;
       }
-      std::printf("%-22s %-34s %-26s %9zu %9.2f %10" PRId64 " %8" PRId64
-                  " %8" PRId64 " %8" PRId64 " %8zu %8.1f %8.1f %8.1f %8.1f\n",
+      std::printf("%-22s %-34s %-26s %9zu %9.2f %10" PRId64 " %10" PRId64
+                  " %8" PRId64 " %8" PRId64 " %8" PRId64
+                  " %8zu %8.1f %8.1f %8.1f %8.1f\n",
                   scenario.c_str(), detail.c_str(), engine_name, tuples,
-                  s.wall_ms, s.tetris.resolutions, s.tetris.boxes_loaded,
-                  probes, s.seeks, s.baseline.max_intermediate,
-                  s.memory.kb_bytes / 1024.0,
+                  s.wall_ms, s.tetris.resolutions, s.tetris.skeleton_nodes,
+                  s.tetris.boxes_loaded, probes, s.seeks,
+                  s.baseline.max_intermediate, s.memory.kb_bytes / 1024.0,
                   s.memory.index_bytes / 1024.0,
                   s.memory.intermediate_bytes / 1024.0,
                   s.memory.output_bytes / 1024.0);
@@ -530,8 +532,8 @@ void RunReporter::EmitRow(const char* row_type, const std::string& scenario,
     case OutputFormat::kCsv: {
       if (!csv_header_printed_) {
         std::printf("row_type,bench,section,scenario,params,engine,ok,"
-                    "tuples,wall_ms,resolutions,boxes_loaded,probes,seeks,"
-                    "max_intermediate,kb_bytes,index_bytes,"
+                    "tuples,wall_ms,resolutions,skeleton_nodes,boxes_loaded,"
+                    "probes,seeks,max_intermediate,kb_bytes,index_bytes,"
                     "intermediate_bytes,output_bytes,shards,threads,"
                     "shard_peak_bytes,est_shard_peak_bytes,plan_bytes,"
                     "box,error,note\n");
@@ -539,18 +541,19 @@ void RunReporter::EmitRow(const char* row_type, const std::string& scenario,
       }
       const std::string params_field = FormatParams(params, ";", false);
       std::printf("%s,%s,%s,%s,%s,%s,%d,%zu,%.3f,%" PRId64 ",%" PRId64
-                  ",%" PRId64 ",%" PRId64 ",%zu,%zu,%zu,%zu,%zu,%zu,%zu,"
+                  ",%" PRId64 ",%" PRId64 ",%" PRId64
+                  ",%zu,%zu,%zu,%zu,%zu,%zu,%zu,"
                   "%zu,%zu,%zu,%s,%s,%s\n",
                   row_type, CsvField(bench_).c_str(),
                   CsvField(section_).c_str(), CsvField(scenario).c_str(),
                   params_field.c_str(), engine_name, ok ? 1 : 0, tuples,
-                  s.wall_ms, s.tetris.resolutions, s.tetris.boxes_loaded,
-                  probes, s.seeks, s.baseline.max_intermediate,
-                  s.memory.kb_bytes, s.memory.index_bytes,
-                  s.memory.intermediate_bytes, s.memory.output_bytes,
-                  s.shards, s.threads, s.max_shard_peak_bytes,
-                  s.estimated_max_shard_peak_bytes, s.plan_bytes,
-                  CsvField(box).c_str(), CsvField(error).c_str(),
+                  s.wall_ms, s.tetris.resolutions, s.tetris.skeleton_nodes,
+                  s.tetris.boxes_loaded, probes, s.seeks,
+                  s.baseline.max_intermediate, s.memory.kb_bytes,
+                  s.memory.index_bytes, s.memory.intermediate_bytes,
+                  s.memory.output_bytes, s.shards, s.threads,
+                  s.max_shard_peak_bytes, s.estimated_max_shard_peak_bytes,
+                  s.plan_bytes, CsvField(box).c_str(), CsvField(error).c_str(),
                   CsvField(note).c_str());
       return;
     }
@@ -560,6 +563,7 @@ void RunReporter::EmitRow(const char* row_type, const std::string& scenario,
                   "\"scenario\":\"%s\","
                   "\"params\":{%s},\"engine\":\"%s\",\"ok\":%s,"
                   "\"tuples\":%zu,\"wall_ms\":%.3f,\"resolutions\":%" PRId64
+                  ",\"skeleton_nodes\":%" PRId64
                   ",\"boxes_loaded\":%" PRId64 ",\"probes\":%" PRId64
                   ",\"seeks\":%" PRId64 ",\"max_intermediate\":%zu,"
                   "\"memory\":{\"kb_bytes\":%zu,\"index_bytes\":%zu,"
@@ -571,8 +575,8 @@ void RunReporter::EmitRow(const char* row_type, const std::string& scenario,
                   JsonEscape(section_).c_str(), JsonEscape(scenario).c_str(),
                   params_field.c_str(), engine_name, ok ? "true" : "false",
                   tuples, s.wall_ms, s.tetris.resolutions,
-                  s.tetris.boxes_loaded, probes, s.seeks,
-                  s.baseline.max_intermediate, s.memory.kb_bytes,
+                  s.tetris.skeleton_nodes, s.tetris.boxes_loaded, probes,
+                  s.seeks, s.baseline.max_intermediate, s.memory.kb_bytes,
                   s.memory.index_bytes, s.memory.intermediate_bytes,
                   s.memory.output_bytes, s.shards, s.threads,
                   s.max_shard_peak_bytes, s.estimated_max_shard_peak_bytes,

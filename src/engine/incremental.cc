@@ -1,6 +1,5 @@
 #include "engine/incremental.h"
 
-#include <algorithm>
 #include <chrono>
 #include <unordered_set>
 #include <utility>
@@ -153,9 +152,7 @@ PatchResult PatchJoin(const JoinQuery& query, EngineKind kind,
       ++out.tuples_kept;
     }
   }
-  std::sort(res.tuples.begin(), res.tuples.end());
-  res.tuples.erase(std::unique(res.tuples.begin(), res.tuples.end()),
-                   res.tuples.end());
+  CanonicalizeTuples(&res.tuples);
   res.stats.output_tuples = res.tuples.size();
   res.stats.memory.output_bytes =
       EstimateAtomBytes(res.tuples.size(), query.num_attrs());

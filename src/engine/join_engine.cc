@@ -1,6 +1,5 @@
 #include "engine/join_engine.h"
 
-#include <algorithm>
 #include <chrono>
 #include <optional>
 
@@ -95,11 +94,6 @@ EngineResult RunShardedJoin(const JoinQuery& query, EngineKind kind,
   return std::move(
       RunShardPipeline({shard_query}, kind, OneQueryBatch(options, depth))
           .results[0]);
-}
-
-void Canonicalize(std::vector<Tuple>* tuples) {
-  std::sort(tuples->begin(), tuples->end());
-  tuples->erase(std::unique(tuples->begin(), tuples->end()), tuples->end());
 }
 
 // Derives the GAO Leapfrog / Generic Join should run under from the
@@ -378,7 +372,7 @@ EngineResult RunJoin(const JoinQuery& query, EngineKind kind,
   }
 
   if (result.ok) {
-    Canonicalize(&result.tuples);
+    CanonicalizeTuples(&result.tuples);
     result.stats.output_tuples = result.tuples.size();
     result.stats.memory.intermediate_bytes =
         result.stats.baseline.max_intermediate_bytes;

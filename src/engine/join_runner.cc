@@ -93,11 +93,10 @@ JoinRunResult RunTetrisJoin(const JoinQuery& query,
       opt.init = algo == JoinAlgorithm::kTetrisReloaded
                      ? TetrisOptions::Init::kReloaded
                      : TetrisOptions::Init::kPreloaded;
+      // Tree-ordered (no-cache) mode relies on preloaded runs settling
+      // each output in place (TetrisSkeleton2, footnote 13): a re-descent
+      // per output would repeat every resolution on its path.
       opt.cache_resolvents = algo != JoinAlgorithm::kTetrisPreloadedNoCache;
-      // Tree-ordered mode needs TetrisSkeleton2 (footnote 13): without
-      // caching, per-output re-descents from the root would each repeat
-      // all resolutions on the path.
-      opt.single_pass = algo == JoinAlgorithm::kTetrisPreloadedNoCache;
       if (sao.empty()) {
         sao = opt.init == TetrisOptions::Init::kPreloaded
                   ? query.AcyclicSao()

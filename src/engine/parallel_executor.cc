@@ -250,11 +250,9 @@ EngineResult RunTetrisViewShard(const TetrisShardContext& ctx,
   for (const IndexView& v : views) ptrs.push_back(&v);
   JoinRunResult run =
       RunTetrisJoin(*ctx.query, ptrs, ctx.depth, ctx.algo, ctx.order);
+  // Left in the engine's emission order: MergeShardRuns sorts the
+  // concatenation of all shards once.
   result.tuples = std::move(run.tuples);
-  std::sort(result.tuples.begin(), result.tuples.end());
-  result.tuples.erase(
-      std::unique(result.tuples.begin(), result.tuples.end()),
-      result.tuples.end());
   result.stats.tetris = run.stats;
   result.stats.input_gap_boxes = run.input_gap_boxes;
   result.stats.oracle_probes = run.oracle_probes;
@@ -382,11 +380,9 @@ EngineResult MergeShardRuns(const JoinQuery& query, EngineKind kind,
   }
 
   // Shards are disjoint subcubes, so concatenation has no duplicates,
-  // but sorting restores the canonical facade order.
-  std::sort(result.tuples.begin(), result.tuples.end());
-  result.tuples.erase(
-      std::unique(result.tuples.begin(), result.tuples.end()),
-      result.tuples.end());
+  // but sorting restores the canonical facade order (Tetris view shards
+  // arrive unsorted, in the engine's SAO emission order).
+  CanonicalizeTuples(&result.tuples);
   result.ok = true;
   result.stats.output_tuples = result.tuples.size();
   result.stats.memory.intermediate_bytes =

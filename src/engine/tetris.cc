@@ -43,50 +43,22 @@ bool Tetris::InsertKb(const DyadicBox& engine_box) {
   return false;
 }
 
-std::pair<bool, DyadicBox> Tetris::SettleUnitBox(const DyadicBox& b) {
-  // TetrisSkeleton2: decide the fate of the uncovered point right here.
-  DyadicBox orig_point = ToOriginalOrder(b);
-  std::vector<DyadicBox> probe_result;
-  bool is_output;
-  if (options_.init == TetrisOptions::Init::kPreloaded) {
-    is_output = true;  // A ⊇ B: nothing in B can cover the point.
-  } else {
-    oracle_->Probe(orig_point, &probe_result);
-    is_output = probe_result.empty();
+void Tetris::LoadGap(const DyadicBox& gap) {
+  DyadicBox eng = ToEngineOrder(gap);
+  if (InsertKb(eng)) {
+    ++stats_.boxes_loaded;
+    if (options_.proof_log) options_.proof_log->AddAxiom(eng);
   }
-  if (is_output) {
-    ++stats_.outputs;
-    if (!(*sink_)(orig_point)) {
-      stop_requested_ = true;
-      return {false, b};
-    }
-    DyadicBox out_box = b;
-    out_box.set_output_derived(true);
-    InsertKb(out_box);
-    if (options_.proof_log) options_.proof_log->AddOutput(out_box);
-    return {true, out_box};
-  }
-  DyadicBox witness = b;
-  bool witness_found = false;
-  for (const DyadicBox& g : probe_result) {
-    DyadicBox eng = ToEngineOrder(g);
-    if (InsertKb(eng)) {
-      ++stats_.boxes_loaded;
-      if (options_.proof_log) options_.proof_log->AddAxiom(eng);
-    }
-    if (eng.Contains(b)) {
-      witness = eng;
-      witness_found = true;
-    }
-  }
-  assert(witness_found && "oracle must return a gap containing the probe");
-  (void)witness_found;
-  if (options_.load_budget >= 0 &&
-      stats_.boxes_loaded > options_.load_budget) {
-    budget_exceeded_ = true;
-    return {false, b};
-  }
-  return {true, witness};
+}
+
+std::pair<bool, DyadicBox> Tetris::EmitOutput(const DyadicBox& point) {
+  ++stats_.outputs;
+  DyadicBox out_box = point;
+  if (!(*sink_)(ToOriginalOrder(point))) return {false, out_box};
+  out_box.set_output_derived(true);
+  InsertKb(out_box);  // amend A with the output box
+  if (options_.proof_log) options_.proof_log->AddOutput(out_box);
+  return {true, out_box};
 }
 
 std::pair<bool, DyadicBox> Tetris::Skeleton(const DyadicBox& b) {
@@ -96,8 +68,13 @@ std::pair<bool, DyadicBox> Tetris::Skeleton(const DyadicBox& b) {
   // Lines 3-4: b is a point not covered by A.
   int split_dim = space_->FirstThickDim(b);
   if (split_dim < 0) {
-    if (options_.single_pass) return SettleUnitBox(b);
-    return {false, b};
+    if (options_.init == TetrisOptions::Init::kReloaded) return {false, b};
+    // TetrisSkeleton2 (proof of Theorem D.2, footnote 13): A ⊇ B, so the
+    // point is an output. Report it here and let its output box be the
+    // witness, instead of re-descending from the root for the next one.
+    auto settled = EmitOutput(b);
+    if (!settled.first) stop_requested_ = true;
+    return settled;
   }
   // Line 6: split on the first thick dimension.
   DyadicBox b1 = b, b2 = b;
@@ -144,57 +121,33 @@ RunStatus Tetris::RunImpl(const OutputSink& sink) {
     bool ok = oracle_->EnumerateAll(&all);
     assert(ok && "preloaded mode requires an enumerable oracle");
     (void)ok;
-    for (const DyadicBox& b : all) {
-      DyadicBox eng = ToEngineOrder(b);
-      if (InsertKb(eng)) {
-        ++stats_.boxes_loaded;
-        if (options_.proof_log) options_.proof_log->AddAxiom(eng);
-      }
-    }
+    for (const DyadicBox& b : all) LoadGap(b);
   }
 
+  // Algorithm 2's outer loop. Under kPreloaded the first skeleton call
+  // settles every output in place and covers the space; under kReloaded
+  // each uncovered point is checked against B: either B's gap boxes
+  // containing it are loaded into A, or it is an output tuple.
   const DyadicBox universal = DyadicBox::Universal(space_->dims());
   sink_ = &sink;
   stop_requested_ = false;
-  budget_exceeded_ = false;
   std::vector<DyadicBox> probe_result;
   for (;;) {
     ++stats_.skeleton_calls;
     auto [covered, w] = Skeleton(universal);
     if (stop_requested_) return RunStatus::kStoppedBySink;
-    if (budget_exceeded_) return RunStatus::kBudgetExceeded;
     if (covered) return RunStatus::kCompleted;  // whole space covered.
 
-    // w is an uncovered point (engine order); consult B.
-    DyadicBox orig_point = ToOriginalOrder(w);
-    bool is_output;
-    if (options_.init == TetrisOptions::Init::kPreloaded) {
-      // A ⊇ B, so an uncovered point is certainly an output tuple.
-      is_output = true;
-    } else {
-      probe_result.clear();
-      oracle_->Probe(orig_point, &probe_result);
-      is_output = probe_result.empty();
+    probe_result.clear();
+    oracle_->Probe(ToOriginalOrder(w), &probe_result);
+    if (probe_result.empty()) {
+      if (!EmitOutput(w).first) return RunStatus::kStoppedBySink;
+      continue;
     }
-    if (is_output) {
-      ++stats_.outputs;
-      if (!sink(orig_point)) return RunStatus::kStoppedBySink;
-      DyadicBox out_box = w;
-      out_box.set_output_derived(true);
-      InsertKb(out_box);  // amend A with the output box
-      if (options_.proof_log) options_.proof_log->AddOutput(out_box);
-    } else {
-      for (const DyadicBox& b : probe_result) {
-        DyadicBox eng = ToEngineOrder(b);
-        if (InsertKb(eng)) {
-          ++stats_.boxes_loaded;
-          if (options_.proof_log) options_.proof_log->AddAxiom(eng);
-        }
-      }
-      if (options_.load_budget >= 0 &&
-          stats_.boxes_loaded > options_.load_budget) {
-        return RunStatus::kBudgetExceeded;
-      }
+    for (const DyadicBox& b : probe_result) LoadGap(b);
+    if (options_.load_budget >= 0 &&
+        stats_.boxes_loaded > options_.load_budget) {
+      return RunStatus::kBudgetExceeded;
     }
   }
 }

@@ -8,14 +8,18 @@
 // caching toggle is exactly the Ordered vs Tree-Ordered resolution
 // distinction of Figure 2.
 //
-// The outer loop repeatedly calls the skeleton on <λ,...,λ>; every
-// uncovered point is checked against the input oracle B: either some gap
-// boxes of B are loaded into A (Tetris-Reloaded's lazy loading), or the
-// point is reported as an output tuple and inserted as an output box.
-//
-// Initialization policies (paper, Sections 4.3 / 4.4):
+// The initialization policy (paper, Sections 4.3 / 4.4) also picks how
+// uncovered points are handled:
 //   * kPreloaded: A := B            (worst-case bounds: AGM, fhtw)
+//     A ⊇ B, so every uncovered unit box is an output. The skeleton
+//     reports it where it finds it and continues with its output box as
+//     the witness (TetrisSkeleton2, proof of Theorem D.2, footnote 13):
+//     one skeleton call enumerates the whole output.
 //   * kReloaded:  A := ∅            (certificate bounds: O~(|C|^w+1 + Z))
+//     Algorithm 2's outer loop calls the skeleton on <λ,...,λ> until it
+//     covers; each uncovered point is checked against the input oracle B:
+//     either gap boxes of B are loaded into A (lazy loading), or the point
+//     is reported as an output tuple and inserted as an output box.
 #ifndef TETRIS_ENGINE_TETRIS_H_
 #define TETRIS_ENGINE_TETRIS_H_
 
@@ -37,7 +41,7 @@ struct TetrisStats {
   int64_t kb_inserts = 0;          ///< boxes added to A (loads + resolvents)
   int64_t boxes_loaded = 0;        ///< gap boxes pulled from B into A
   int64_t skeleton_nodes = 0;      ///< recursion tree nodes visited
-  int64_t skeleton_calls = 0;      ///< outer-loop invocations of the skeleton
+  int64_t skeleton_calls = 0;      ///< outer-loop invocations (1 if preloaded)
   int64_t outputs = 0;             ///< output tuples reported
   int64_t restarts = 0;            ///< partition rebuilds (Tetris-LB only)
   int64_t kb_peak_bytes = 0;       ///< largest knowledge-base A footprint
@@ -59,6 +63,8 @@ struct TetrisStats {
 
 /// Engine configuration.
 struct TetrisOptions {
+  /// Also picks the skeleton: kPreloaded settles outputs in place (one
+  /// skeleton call), kReloaded restarts from the root per uncovered point.
   enum class Init { kPreloaded, kReloaded };
   Init init = Init::kReloaded;
 
@@ -66,22 +72,14 @@ struct TetrisOptions {
   /// Tree-Ordered Geometric Resolution (paper, Section 5.1).
   bool cache_resolvents = true;
 
-  /// TetrisSkeleton2 (paper, proof of Theorem D.2 and footnote 13):
-  /// outputs are reported and B consulted *inside* the skeleton, so one
-  /// skeleton invocation enumerates everything instead of restarting from
-  /// the root per output point. Required for the tree-ordered (no-cache)
-  /// mode to meet the AGM bound; otherwise each output pays a full
-  /// re-descent.
-  bool single_pass = false;
-
   /// Splitting attribute order: engine dimension j is original dimension
   /// sao[j]. Empty = identity.
   std::vector<int> sao;
 
-  /// Abort the run once more than this many boxes were loaded from B
-  /// (negative = unlimited). Used by the online Tetris-LB to trigger a
-  /// partition rebuild (paper, Section F.6: "periodically re-adjusting
-  /// the partitions").
+  /// kReloaded only: abort the run once more than this many boxes were
+  /// loaded from B (negative = unlimited). Used by the online Tetris-LB
+  /// to trigger a partition rebuild (paper, Section F.6: "periodically
+  /// re-adjusting the partitions").
   int64_t load_budget = -1;
 
   /// When set, the engine records its axioms (loaded gap boxes), output
@@ -128,10 +126,12 @@ class Tetris {
   RunStatus RunImpl(const OutputSink& sink);
   // Algorithm 1. Returns (covered?, witness-or-uncovered-point).
   std::pair<bool, DyadicBox> Skeleton(const DyadicBox& b);
-  // TetrisSkeleton2's unit-box handler: classifies the point against B,
-  // reports outputs, loads gap boxes, and returns a covering witness.
-  // Returns false in .first only when the run must abort.
-  std::pair<bool, DyadicBox> SettleUnitBox(const DyadicBox& b);
+  // Reports the unit box `point` (engine order) to the sink and amends A
+  // with its output box, which it returns as the witness. .first is false
+  // when the sink stopped the run (A is then left as it was).
+  std::pair<bool, DyadicBox> EmitOutput(const DyadicBox& point);
+  // Loads one gap box of B (original order) into A as an axiom.
+  void LoadGap(const DyadicBox& gap);
 
   DyadicBox ToEngineOrder(const DyadicBox& orig) const;
   DyadicBox ToOriginalOrder(const DyadicBox& engine) const;
@@ -145,7 +145,6 @@ class Tetris {
   TetrisStats stats_;
   const OutputSink* sink_ = nullptr;
   bool stop_requested_ = false;
-  bool budget_exceeded_ = false;
 };
 
 /// Convenience: solves the Boolean BCP (Definition 3.5) — is the whole

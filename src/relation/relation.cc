@@ -2,8 +2,45 @@
 
 #include <algorithm>
 #include <numeric>
+#include <utility>
 
 namespace tetris {
+
+void CanonicalizeTuples(std::vector<Tuple>* tuples) {
+  std::vector<Tuple>& ts = *tuples;
+  if (ts.size() < 2) return;
+  // Equal arities whose fields fit one 64-bit key at a common width are
+  // ordered by that key — numeric order of fixed-width fields is their
+  // lexicographic order — instead of chasing two heap buffers per
+  // comparison. Results of one query always qualify on the dyadic grid.
+  const size_t k = ts[0].size();
+  uint64_t all = 0;
+  bool same_arity = true;
+  for (const Tuple& t : ts) {
+    same_arity = same_arity && t.size() == k;
+    for (uint64_t v : t) all |= v;
+  }
+  const size_t width = all == 0 ? 0 : 64 - __builtin_clzll(all);
+  if (!same_arity || k * width >= 64) {
+    std::sort(ts.begin(), ts.end());
+    ts.erase(std::unique(ts.begin(), ts.end()), ts.end());
+    return;
+  }
+  std::vector<std::pair<uint64_t, size_t>> keys(ts.size());
+  for (size_t i = 0; i < ts.size(); ++i) {
+    uint64_t key = 0;
+    for (uint64_t v : ts[i]) key = key << width | v;
+    keys[i] = {key, i};
+  }
+  std::sort(keys.begin(), keys.end());
+  std::vector<Tuple> out;
+  out.reserve(keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    if (i > 0 && keys[i].first == keys[i - 1].first) continue;
+    out.push_back(std::move(ts[keys[i].second]));
+  }
+  ts = std::move(out);
+}
 
 Relation Relation::Make(std::string name, std::vector<std::string> attrs,
                         std::vector<Tuple> tuples) {

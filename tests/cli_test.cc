@@ -436,6 +436,48 @@ TEST(CliTest, SummaryEmitsStructuredRowsInEveryFormat) {
   }
 }
 
+TEST(CliTest, RowsCarrySkeletonNodesAfterResolutions) {
+  QueryInstance q = RandomTriangle(/*tuples_per_rel=*/30, /*d=*/4,
+                                   /*seed=*/8);
+  HarnessOptions opts;
+  opts.engines = {EngineKind::kTetrisPreloaded};
+  auto runs = RunEngines(q.query, opts);
+  ASSERT_EQ(runs.size(), 1u);
+  ASSERT_TRUE(runs[0].result.ok) << runs[0].result.error;
+  const TetrisStats& t = runs[0].result.stats.tetris;
+  ASSERT_GT(t.skeleton_nodes, 0);
+  const std::string counters = std::to_string(t.resolutions) + "," +
+                               std::to_string(t.skeleton_nodes) + "," +
+                               std::to_string(t.boxes_loaded) + ",";
+  {
+    testing::internal::CaptureStdout();
+    RunReporter rep(OutputFormat::kCsv, "unit");
+    rep.Row("tri", {{"n", 30}}, runs[0]);
+    const std::string out = testing::internal::GetCapturedStdout();
+    EXPECT_NE(out.find(",wall_ms,resolutions,skeleton_nodes,boxes_loaded,"),
+              std::string::npos);
+    EXPECT_NE(out.find(counters), std::string::npos) << out;
+  }
+  {
+    testing::internal::CaptureStdout();
+    RunReporter rep(OutputFormat::kJsonl, "unit");
+    rep.Row("tri", {{"n", 30}}, runs[0]);
+    const std::string out = testing::internal::GetCapturedStdout();
+    const std::string fields =
+        "\"resolutions\":" + std::to_string(t.resolutions) +
+        ",\"skeleton_nodes\":" + std::to_string(t.skeleton_nodes) +
+        ",\"boxes_loaded\":";
+    EXPECT_NE(out.find(fields), std::string::npos) << out;
+  }
+  {
+    testing::internal::CaptureStdout();
+    RunReporter rep(OutputFormat::kTable, "unit");
+    rep.Row("tri", {{"n", 30}}, runs[0]);
+    const std::string out = testing::internal::GetCapturedStdout();
+    EXPECT_NE(out.find("resolns skel_nodes"), std::string::npos) << out;
+  }
+}
+
 TEST(CliTest, RowEmitsShardSubRows) {
   QueryInstance q = RandomTriangle(/*tuples_per_rel=*/30, /*d=*/4,
                                    /*seed=*/8);

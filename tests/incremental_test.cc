@@ -6,6 +6,7 @@
 // service's cached / restamped / patched serving paths.
 #include "engine/incremental.h"
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <string>
@@ -16,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "engine/batch_runner.h"
+#include "engine/join_runner.h"
 #include "engine/shard_planner.h"
 #include "incremental_oracle.h"
 #include "server/join_service.h"
@@ -390,6 +392,57 @@ TEST(IncrementalDifferentialTest, BudgetedSplitAgreesAcrossEntryPoints) {
     EXPECT_EQ(patched.shards_total, joined.stats.shards);
     EXPECT_EQ(batch.results[0].tuples, joined.tuples);
     EXPECT_EQ(patched.result.tuples, joined.tuples);
+  }
+}
+
+// Tetris view shards reach the merge in the engine's emission order —
+// lexicographic in SAO order, not attribute-id order — and the merge
+// sorts once. Every sharded entry point must still return the tuples
+// sorted, free of duplicates and equal to brute force. PatchJoin patches
+// an empty old result over the touched boxes of all of R, so its whole
+// output comes from fresh shards.
+TEST(IncrementalDifferentialTest, HintedTetrisShardsMergeSortedAcrossEntryPoints) {
+  QueryInstance q = RandomTriangle(/*tuples_per_rel=*/60, /*d=*/5,
+                                   /*seed=*/17);
+  const int depth = q.query.MinDepth();
+  const std::vector<int> order = {2, 1, 0};
+  const std::vector<Tuple> expected = q.query.BruteForceJoin(depth);
+  ASSERT_FALSE(expected.empty());
+
+  // The premise: under this hint the engine emits out of order.
+  const auto owned = MakeSaoConsistentIndexes(q.query, order, depth);
+  const JoinRunResult raw =
+      RunTetrisJoin(q.query, IndexPtrs(owned), depth,
+                    JoinAlgorithm::kTetrisPreloaded, order);
+  ASSERT_FALSE(std::is_sorted(raw.tuples.begin(), raw.tuples.end()));
+
+  EngineOptions opts;
+  opts.order = order;
+  opts.shards = 4;
+  opts.threads = 0;
+  BatchOptions batch_opts;
+  batch_opts.shards = 4;
+  batch_opts.orders = {order};
+  const std::vector<DyadicBox> touched = TouchedOutputBoxes(
+      q.query, depth, "R", q.storage[0]->ToTuples());
+  for (EngineKind kind :
+       {EngineKind::kTetrisPreloaded, EngineKind::kTetrisReloaded,
+        EngineKind::kTetrisPreloadedNoCache}) {
+    SCOPED_TRACE(EngineKindName(kind));
+    const EngineResult joined = RunJoin(q.query, kind, opts);
+    const BatchResult batch = RunBatch({}, {q.query}, kind, batch_opts);
+    ASSERT_TRUE(batch.ok) << batch.error;
+    const PatchResult patched = PatchJoin(q.query, kind, opts, {}, touched);
+    EXPECT_FALSE(patched.full_recompute) << patched.note;
+    for (const EngineResult* r :
+         {&joined, &batch.results[0], &patched.result}) {
+      ASSERT_TRUE(r->ok) << r->error;
+      EXPECT_EQ(r->stats.shards, 4u);
+      EXPECT_TRUE(std::is_sorted(r->tuples.begin(), r->tuples.end()));
+      EXPECT_EQ(std::adjacent_find(r->tuples.begin(), r->tuples.end()),
+                r->tuples.end());
+      EXPECT_EQ(r->tuples, expected);
+    }
   }
 }
 

@@ -85,23 +85,19 @@ TEST_P(EngineProofProperty, EngineProofsVerify) {
     UniformSpace space(n, d);
     for (auto init : {TetrisOptions::Init::kPreloaded,
                       TetrisOptions::Init::kReloaded}) {
-      for (bool single_pass : {false, true}) {
-        ProofLog log(n, d);
-        TetrisOptions opt;
-        opt.init = init;
-        opt.single_pass = single_pass;
-        opt.proof_log = &log;
-        Tetris engine(&oracle, &space, opt);
-        RunStatus status =
-            engine.Run([](const DyadicBox&) { return true; });
-        ASSERT_EQ(status, RunStatus::kCompleted);
-        std::string err;
-        EXPECT_TRUE(log.Verify(&err)) << err;
-        EXPECT_EQ(log.step_count(),
-                  static_cast<size_t>(engine.stats().resolutions));
-        EXPECT_TRUE(log.Derives(DyadicBox::Universal(n)))
-            << "completed run must derive full cover";
-      }
+      ProofLog log(n, d);
+      TetrisOptions opt;
+      opt.init = init;
+      opt.proof_log = &log;
+      Tetris engine(&oracle, &space, opt);
+      RunStatus status = engine.Run([](const DyadicBox&) { return true; });
+      ASSERT_EQ(status, RunStatus::kCompleted);
+      std::string err;
+      EXPECT_TRUE(log.Verify(&err)) << err;
+      EXPECT_EQ(log.step_count(),
+                static_cast<size_t>(engine.stats().resolutions));
+      EXPECT_TRUE(log.Derives(DyadicBox::Universal(n)))
+          << "completed run must derive full cover";
     }
   }
 }

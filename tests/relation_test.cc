@@ -108,6 +108,37 @@ TEST(Relation, RandomizedCanonicalizeMatchesTupleModel) {
   }
 }
 
+// CanonicalizeTuples against std::sort + std::unique, on both of its
+// paths: packed keys (equal arity, up to 4 fields of 15 bits or one of
+// 40) and the plain sort (mixed arity, or two or more 40-bit fields).
+TEST(Relation, CanonicalizeTuplesMatchesSortUnique) {
+  Rng rng(77);
+  for (int round = 0; round < 60; ++round) {
+    const int k = 1 + static_cast<int>(rng.Below(4));
+    const int shape = round % 4;
+    const uint64_t bound = shape == 0   ? 8
+                           : shape == 1 ? uint64_t{1} << 15
+                                        : uint64_t{1} << 40;
+    std::vector<Tuple> tuples;
+    const size_t n = rng.Below(80);
+    for (size_t i = 0; i < n; ++i) {
+      // Mixed arities in the last shape.
+      Tuple t(shape == 3 ? 1 + rng.Below(4) : k);
+      for (uint64_t& v : t) v = rng.Below(bound);
+      tuples.push_back(t);
+      if (rng.Chance(0.3)) tuples.push_back(t);  // duplicates
+    }
+    std::vector<Tuple> want = tuples;
+    std::sort(want.begin(), want.end());
+    want.erase(std::unique(want.begin(), want.end()), want.end());
+    CanonicalizeTuples(&tuples);
+    EXPECT_EQ(tuples, want) << "round " << round;
+  }
+  std::vector<Tuple> zeros(5, Tuple(3, 0));
+  CanonicalizeTuples(&zeros);
+  EXPECT_EQ(zeros, std::vector<Tuple>{Tuple(3, 0)});
+}
+
 TEST(RelationView, MaterializeGathersRowsFromFlatBase) {
   Relation base =
       Relation::Make("R", {"A", "B"}, {{0, 1}, {2, 3}, {4, 5}, {6, 7}});

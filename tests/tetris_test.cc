@@ -288,17 +288,13 @@ TEST_P(TetrisProperty, MatchesBruteForce) {
                       TetrisOptions::Init::kReloaded}) {
       for (bool cache : {true, false}) {
         if (!cache && init != TetrisOptions::Init::kPreloaded) continue;
-        for (bool single_pass : {false, true}) {
-          TetrisOptions opt;
-          opt.init = init;
-          opt.cache_resolvents = cache;
-          opt.single_pass = single_pass;
-          auto out = RunCollect(oracle, space, opt);
-          ASSERT_EQ(out, expected)
-              << "n=" << n << " d=" << d << " iter=" << iter
-              << " init=" << static_cast<int>(init) << " cache=" << cache
-              << " single_pass=" << single_pass;
-        }
+        TetrisOptions opt;
+        opt.init = init;
+        opt.cache_resolvents = cache;
+        auto out = RunCollect(oracle, space, opt);
+        ASSERT_EQ(out, expected)
+            << "n=" << n << " d=" << d << " iter=" << iter
+            << " init=" << static_cast<int>(init) << " cache=" << cache;
       }
     }
     // Coverage decision must agree with the measure.
