@@ -6,8 +6,11 @@
 // The dyadic-prefix shards are disjoint subcubes of the output space
 // (engine/shard_planner.h), so every configuration must reproduce the
 // baseline output exactly — the binary exits nonzero otherwise.
-// Acceptance target: speedup > 1.5x at 4 threads.
+// Acceptance target: speedup > 1.5x at 4 threads, as the median over
+// kAcceptancePairs alternating unsharded / s4t4 pairs (one ~10 ms run per
+// side is too noisy to gate on).
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -22,6 +25,9 @@ using namespace tetris;
 using namespace tetris::bench;
 
 namespace {
+
+// Timed unsharded / s4t4 pairs behind the speedup acceptance.
+constexpr int kAcceptancePairs = 7;
 
 // One engine through the shared harness sweep (keeps the fastest of
 // --reps). The sharding knobs come from `eopts` — this bench sweeps
@@ -80,7 +86,6 @@ int main(int argc, char** argv) {
     const double base_ms = base.result.stats.wall_ms;
     const size_t base_tuples = base.result.tuples.size();
 
-    double speedup_4x4 = 0.0;
     for (int shards : {2, 4, 8, 16}) {
       for (int threads : {1, 2, 4}) {
         EngineOptions eopts;
@@ -101,7 +106,6 @@ int main(int argc, char** argv) {
           ok = false;
         }
         const double speedup = base_ms / run.result.stats.wall_ms;
-        if (shards == 4 && threads == 4) speedup_4x4 = speedup;
         const std::string scenario =
             "s" + std::to_string(shards) + "t" + std::to_string(threads);
         // The peak-memory columns of the zero-copy acceptance: per-shard
@@ -120,6 +124,34 @@ int main(int argc, char** argv) {
                  {"plan_KiB", run.result.stats.plan_bytes / 1024.0}},
                 run);
       }
+    }
+    // The acceptance speedup: the median over alternating unsharded /
+    // s4t4 pairs, so one slow run on either side cannot flip the verdict.
+    EngineOptions s4t4;
+    s4t4.shards = 4;
+    s4t4.threads = 4;
+    std::vector<double> pair_speedups;
+    for (int pair = 0; pair < kAcceptancePairs; ++pair) {
+      const cli::EngineRun plain =
+          TimedRun(q.query, kind, EngineOptions{}, opts);
+      const cli::EngineRun sharded = TimedRun(q.query, kind, s4t4, opts);
+      if (!plain.result.ok || !sharded.result.ok ||
+          sharded.result.tuples.size() != base_tuples) {
+        rep.Error("!! s4t4 acceptance pair %d failed or mismatched", pair);
+        ok = false;
+        break;
+      }
+      pair_speedups.push_back(plain.result.stats.wall_ms /
+                              sharded.result.stats.wall_ms);
+    }
+    double speedup_4x4 = 0.0;
+    if (!pair_speedups.empty()) {
+      std::sort(pair_speedups.begin(), pair_speedups.end());
+      speedup_4x4 = pair_speedups[pair_speedups.size() / 2];
+      rep.Note("   %s s4t4 speedup over %zu pairs: min %.2fx, median "
+               "%.2fx, max %.2fx",
+               EngineKindName(kind), pair_speedups.size(),
+               pair_speedups.front(), speedup_4x4, pair_speedups.back());
     }
     // Acceptance check: > 1.5x at shards=4, threads=4 — only meaningful
     // on a machine with at least 4 cores, so below that the check is an

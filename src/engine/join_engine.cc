@@ -309,7 +309,10 @@ EngineResult RunJoin(const JoinQuery& query, EngineKind kind,
       run = RunTetrisJoin(query, IndexPtrs(owned), depth, *tetris_algo,
                           options.order);
     }
-    result.tuples = std::move(run.tuples);
+    // One packed-key sort of the flat output, then the facade tuples
+    // are built once, already in canonical order.
+    run.output.Canonicalize();
+    result.tuples = run.output.ToTuples();
     result.stats.tetris = run.stats;
     result.stats.input_gap_boxes = run.input_gap_boxes;
     result.stats.oracle_probes = run.oracle_probes;
@@ -369,10 +372,10 @@ EngineResult RunJoin(const JoinQuery& query, EngineKind kind,
         result.error = "unknown engine kind";
         break;
     }
+    if (result.ok) CanonicalizeTuples(&result.tuples);
   }
 
   if (result.ok) {
-    CanonicalizeTuples(&result.tuples);
     result.stats.output_tuples = result.tuples.size();
     result.stats.memory.intermediate_bytes =
         result.stats.baseline.max_intermediate_bytes;

@@ -40,13 +40,16 @@ void RelationOracle::Probe(const DyadicBox& point,
 
 bool RelationOracle::EnumerateAll(std::vector<DyadicBox>* out) const {
   std::vector<DyadicBox> gaps;
+  size_t count = 0;
   for (size_t i = 0; i < query_->atoms().size(); ++i) {
     gaps.clear();
     indexes_[i]->AllGaps(&gaps);
     for (const DyadicBox& g : gaps) {
       out->push_back(Embed(query_->atoms()[i], g));
     }
+    count += gaps.size();
   }
+  enumerated_gaps_.store(count, std::memory_order_relaxed);
   return true;
 }
 
@@ -79,9 +82,14 @@ JoinRunResult RunTetrisJoin(const JoinQuery& query,
   RelationOracle oracle(&query, indexes, depth);
   const int n = query.num_attrs();
   JoinRunResult result;
+  result.output = Relation("output", query.attrs());
 
-  auto sink = [&result](const DyadicBox& p) {
-    result.tuples.push_back(p.ToPoint());
+  // Each output point is one arity-n row of the flat output buffer.
+  Relation& out = result.output;
+  auto sink = [&out, n](const DyadicBox& p) {
+    uint64_t row[kMaxDims];
+    for (int i = 0; i < n; ++i) row[i] = p[i].bits;
+    out.AddRow(row);
     return true;
   };
 
@@ -126,7 +134,8 @@ JoinRunResult RunTetrisJoin(const JoinQuery& query,
   if (algo == JoinAlgorithm::kTetrisPreloaded ||
       algo == JoinAlgorithm::kTetrisPreloadedNoCache ||
       algo == JoinAlgorithm::kTetrisPreloadedLB) {
-    result.input_gap_boxes = oracle.CountAllGaps();
+    // The preloaded engines enumerated B(Q) once to initialize A.
+    result.input_gap_boxes = oracle.enumerated_gaps();
   }
   return result;
 }

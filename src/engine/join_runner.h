@@ -9,6 +9,7 @@
 #ifndef TETRIS_ENGINE_JOIN_RUNNER_H_
 #define TETRIS_ENGINE_JOIN_RUNNER_H_
 
+#include <atomic>
 #include <memory>
 #include <vector>
 
@@ -42,8 +43,15 @@ class RelationOracle : public BoxOracle {
   bool EnumerateIntersecting(const DyadicBox& box,
                              std::vector<DyadicBox>* out) const override;
 
-  /// Total number of gap boxes across all indexes (|B(Q)|).
+  /// Total number of gap boxes across all indexes (|B(Q)|), by a fresh
+  /// enumeration.
   size_t CountAllGaps() const;
+
+  /// |B(Q)| as counted by the last EnumerateAll (0 before the first):
+  /// what a preloaded run reports without enumerating B(Q) again.
+  size_t enumerated_gaps() const {
+    return enumerated_gaps_.load(std::memory_order_relaxed);
+  }
 
  private:
   // Embeds a k-dim box over atom `a`'s columns into the n-dim query space.
@@ -52,6 +60,7 @@ class RelationOracle : public BoxOracle {
   const JoinQuery* query_;
   std::vector<const Index*> indexes_;
   int d_;
+  mutable std::atomic<size_t> enumerated_gaps_{0};
 };
 
 /// Which engine configuration evaluates the join.
@@ -65,7 +74,9 @@ enum class JoinAlgorithm {
 
 /// Result of a join evaluation.
 struct JoinRunResult {
-  std::vector<Tuple> tuples;
+  /// The output tuples in the engine's emission order (not sorted), as
+  /// one flat arity-strided buffer over the query attributes.
+  Relation output{"output", {}};
   TetrisStats stats;
   int64_t oracle_probes = 0;
   size_t input_gap_boxes = 0;  ///< |B(Q)| (preloaded variants only)

@@ -224,13 +224,23 @@ struct TetrisShardContext {
   size_t base_index_bytes = 0;
 };
 
+// One shard task's outcome, as the merge receives it. A Tetris view
+// shard leaves its output rows in `rows`, flat and in the engine's
+// emission order, with `result.tuples` empty; the baselines fill
+// `result.tuples` and leave `rows` empty.
+struct ShardOutcome {
+  EngineResult result;
+  Relation rows{"output", {}};
+};
+
 // One shard of a Tetris-family run: per-atom IndexViews confine every
 // probe and gap scan to the shard's box — no tuple is copied, no index
 // rebuilt — and are dropped when the shard finishes.
-EngineResult RunTetrisViewShard(const TetrisShardContext& ctx,
+ShardOutcome RunTetrisViewShard(const TetrisShardContext& ctx,
                                 const DyadicBox& shard_box,
                                 EngineKind kind) {
-  EngineResult result;
+  ShardOutcome outcome;
+  EngineResult& result = outcome.result;
   result.stats.engine = kind;
   const auto start = std::chrono::steady_clock::now();
   const std::vector<Atom>& atoms = ctx.query->atoms();
@@ -250,20 +260,20 @@ EngineResult RunTetrisViewShard(const TetrisShardContext& ctx,
   for (const IndexView& v : views) ptrs.push_back(&v);
   JoinRunResult run =
       RunTetrisJoin(*ctx.query, ptrs, ctx.depth, ctx.algo, ctx.order);
-  // Left in the engine's emission order: MergeShardRuns sorts the
-  // concatenation of all shards once.
-  result.tuples = std::move(run.tuples);
+  // Left flat and in the engine's emission order: MergeShardRuns sorts
+  // the concatenation of all shards once.
+  outcome.rows = std::move(run.output);
   result.stats.tetris = run.stats;
   result.stats.input_gap_boxes = run.input_gap_boxes;
   result.stats.oracle_probes = run.oracle_probes;
   result.stats.memory.kb_bytes = static_cast<size_t>(run.stats.kb_peak_bytes);
   result.stats.memory.index_bytes = run.index_bytes;  // views: a few words
-  result.stats.output_tuples = result.tuples.size();
+  result.stats.output_tuples = outcome.rows.size();
   result.stats.memory.output_bytes =
-      EstimateAtomBytes(result.tuples.size(), ctx.query->num_attrs());
+      EstimateAtomBytes(outcome.rows.size(), ctx.query->num_attrs());
   result.ok = true;
   result.stats.wall_ms = MsSince(start);
-  return result;
+  return outcome;
 }
 
 // The baselines' lazy path: the restricted copy exists only inside this
@@ -311,7 +321,9 @@ void AccumulateShardStats(RunStats* into, const RunStats& s) {
 }
 
 // Deterministic by-shard-id merge of one query's selected shards into one
-// facade EngineResult: concatenates tuples (then canonicalizes),
+// facade EngineResult: concatenates tuples (then canonicalizes once —
+// flat Tetris rows are sorted as one buffer and materialized as facade
+// tuples in their final order),
 // accumulates RunStats, fills shard_runs / the estimator fields from
 // `plan`, reports shards whose actual peak overran `memory_budget_bytes`
 // (0 = no budget) in shard_note, and surfaces `shared_index_bytes` (the
@@ -322,12 +334,16 @@ void AccumulateShardStats(RunStats* into, const RunStats& s) {
 EngineResult MergeShardRuns(const JoinQuery& query, EngineKind kind,
                             const ShardPlan& plan,
                             const std::vector<bool>& selected,
-                            std::vector<EngineResult> shard_results,
+                            std::vector<ShardOutcome> shard_results,
                             size_t memory_budget_bytes,
                             size_t shared_index_bytes) {
   EngineResult result;
   result.stats.engine = kind;
   const size_t m = plan.shards.size();
+  Relation rows("output", query.attrs());
+  size_t flat_rows = 0;
+  for (const ShardOutcome& o : shard_results) flat_rows += o.rows.size();
+  rows.Reserve(flat_rows);
   result.stats.shards = m;
   result.stats.estimated_max_shard_peak_bytes = plan.max_estimated_peak_bytes;
   result.stats.plan_bytes = plan.PlanningBytes();
@@ -344,17 +360,18 @@ EngineResult MergeShardRuns(const JoinQuery& query, EngineKind kind,
       result.shard_runs.push_back(std::move(info));
       continue;
     }
-    EngineResult& r = shard_results[i];
+    EngineResult& r = shard_results[i].result;
     if (!r.ok) {
       result.error = "shard " + std::to_string(i) + ": " + r.error;
       result.shard_runs.clear();
       return result;
     }
+    rows.Append(shard_results[i].rows);
     result.tuples.insert(result.tuples.end(),
                          std::make_move_iterator(r.tuples.begin()),
                          std::make_move_iterator(r.tuples.end()));
     AccumulateShardStats(&result.stats, r.stats);
-    info.output_tuples = r.tuples.size();
+    info.output_tuples = r.stats.output_tuples;
     info.stats = r.stats;
     if (memory_budget_bytes > 0 &&
         r.stats.memory.PeakBytes() > memory_budget_bytes) {
@@ -382,7 +399,12 @@ EngineResult MergeShardRuns(const JoinQuery& query, EngineKind kind,
   // Shards are disjoint subcubes, so concatenation has no duplicates,
   // but sorting restores the canonical facade order (Tetris view shards
   // arrive unsorted, in the engine's SAO emission order).
-  CanonicalizeTuples(&result.tuples);
+  if (rows.size() > 0) {
+    rows.Canonicalize();
+    result.tuples = rows.ToTuples();
+  } else {
+    CanonicalizeTuples(&result.tuples);
+  }
   result.ok = true;
   result.stats.output_tuples = result.tuples.size();
   result.stats.memory.intermediate_bytes =
@@ -525,7 +547,7 @@ BatchResult RunShardPipeline(const std::vector<ShardQuery>& queries,
     int shard = 0;
   };
   std::vector<TaskRef> tasks;
-  std::vector<std::vector<EngineResult>> shard_results(n);
+  std::vector<std::vector<ShardOutcome>> shard_results(n);
   std::vector<std::vector<bool>> selected(n);
   for (size_t q : live) {
     const ShardPlan& plan = plans[query_plan[q]];
@@ -554,11 +576,11 @@ BatchResult RunShardPipeline(const std::vector<ShardQuery>& queries,
     const TaskRef& task = tasks[static_cast<size_t>(t)];
     const JoinQuery& query = *queries[task.q].query;
     const ShardPlan& plan = plans[query_plan[task.q]];
-    EngineResult& slot = shard_results[task.q][task.shard];
+    ShardOutcome& slot = shard_results[task.q][task.shard];
     if (has_deadline &&
         std::chrono::steady_clock::now() >= options.deadline) {
-      slot.stats.engine = kind;
-      slot.error = kDeadlineError;
+      slot.result.stats.engine = kind;
+      slot.result.error = kDeadlineError;
     } else if (algo.has_value()) {
       slot = RunTetrisViewShard(contexts[task.q], plan.shards[task.shard].box,
                                 kind);
@@ -566,10 +588,10 @@ BatchResult RunShardPipeline(const std::vector<ShardQuery>& queries,
       // A single-shard plan covers the whole output space: scan the
       // original relations instead of materializing a copy equal to
       // them.
-      slot = RunJoin(query, kind, shard_opts[task.q]);
+      slot.result = RunJoin(query, kind, shard_opts[task.q]);
     } else {
-      slot = RunMaterializedShard(query, plan, task.shard, kind,
-                                  shard_opts[task.q]);
+      slot.result = RunMaterializedShard(query, plan, task.shard, kind,
+                                         shard_opts[task.q]);
     }
   });
   const double exec_ms = MsSince(exec_start);
@@ -583,7 +605,8 @@ BatchResult RunShardPipeline(const std::vector<ShardQuery>& queries,
   std::vector<double> task_ms(n, 0.0);
   std::vector<size_t> abandoned(n, 0);
   for (size_t q : live) {
-    for (const EngineResult& r : shard_results[q]) {
+    for (const ShardOutcome& o : shard_results[q]) {
+      const EngineResult& r = o.result;
       if (!r.ok && r.error == kDeadlineError) ++abandoned[q];
       else task_ms[q] += r.stats.wall_ms;
     }

@@ -9,10 +9,16 @@
 // through resolution) from an *output* box. This implements the paper's
 // distinction between gap-box resolutions and output-box resolutions
 // (Definitions C.3 / C.4), which the runtime analysis counts separately.
+//
+// Copy contract: a box has room for kMaxDims components but only its first
+// dims() are meaningful. Copy and assignment move exactly those; the slots
+// past dims() are unspecified, and no member or caller reads them. Box
+// copies sit on every skeleton node, witness return and KB lookup, so a
+// 3-attribute query copies 48 bytes of components instead of 256 (the
+// paper's cost model charges a resolution O(n) word operations, Prop. B.12).
 #ifndef TETRIS_GEOMETRY_DYADIC_BOX_H_
 #define TETRIS_GEOMETRY_DYADIC_BOX_H_
 
-#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -29,18 +35,32 @@ inline constexpr int kMaxDims = 16;
 /// An n-dimensional dyadic box.
 class DyadicBox {
  public:
-  DyadicBox() = default;
+  /// The 0-dimensional box.
+  DyadicBox() {}
+
+  DyadicBox(const DyadicBox& other)
+      : n_(other.n_), output_derived_(other.output_derived_) {
+    for (int i = 0; i < n_; ++i) iv_[i] = other.iv_[i];
+  }
+  DyadicBox& operator=(const DyadicBox& other) {
+    n_ = other.n_;
+    output_derived_ = other.output_derived_;
+    for (int i = 0; i < n_; ++i) iv_[i] = other.iv_[i];
+    return *this;
+  }
 
   /// A box with `n` λ components: the universal box <λ, ..., λ>.
   static DyadicBox Universal(int n) {
     DyadicBox b;
     b.n_ = static_cast<uint8_t>(n);
+    for (int i = 0; i < n; ++i) b.iv_[i] = DyadicInterval::Lambda();
     return b;
   }
 
   /// A unit box (point) from `n` depth-`d` coordinate values.
   static DyadicBox Point(const uint64_t* values, int n, int d) {
-    DyadicBox b = Universal(n);
+    DyadicBox b;
+    b.n_ = static_cast<uint8_t>(n);
     for (int i = 0; i < n; ++i) b.iv_[i] = DyadicInterval::Unit(values[i], d);
     return b;
   }
@@ -170,7 +190,12 @@ class DyadicBox {
   }
 
  private:
-  std::array<DyadicInterval, kMaxDims> iv_ = {};
+  // Only iv_[0, n_) is initialized (see the copy contract above): the
+  // anonymous union keeps DyadicInterval's zeroing initializer from
+  // running over all kMaxDims slots on every construction.
+  union {
+    DyadicInterval iv_[kMaxDims];
+  };
   uint8_t n_ = 0;
   bool output_derived_ = false;
 };

@@ -26,7 +26,7 @@
 // (IsBitPrefix / FirstDiffBit from util/bit_ops.h) per *branching* node
 // instead of L single-bit child hops. Stored boxes are bit-packed too: a
 // dims-strided pool of components instead of full (16-slot) DyadicBox
-// copies, so a 3-dimensional box costs 48 pool bytes, not 272. A fresh
+// copies, so a 3-dimensional box costs 48 pool bytes, not 264. A fresh
 // 3-dimensional box inserts ~5 nodes and touches a few cache lines; the
 // old one-bit-per-node layout allocated and chased sum(len_i) nodes.
 #ifndef TETRIS_KB_DYADIC_TREE_STORE_H_

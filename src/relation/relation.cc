@@ -6,13 +6,83 @@
 
 namespace tetris {
 
+namespace {
+
+// The packed-key canonicalizer shared by Relation::Canonicalize and
+// CanonicalizeTuples. Rows of k fields that all fit `width` bits with
+// k * width < 64 pack into one key whose numeric order is their
+// lexicographic order (fixed-width fields, most significant first), so
+// sorting and deduplicating the keys canonicalizes the rows — no
+// comparator touches a row, and a key decodes back into its row.
+
+// Bits needed by the widest of some values, given their bitwise OR.
+int BitWidth(uint64_t all) {
+  return all == 0 ? 0 : 64 - __builtin_clzll(all);
+}
+
+bool Packable(size_t k, int width) {
+  return k * static_cast<size_t>(width) < 64;
+}
+
+uint64_t PackRow(const uint64_t* row, size_t k, int width) {
+  uint64_t key = 0;
+  for (size_t c = 0; c < k; ++c) key = key << width | row[c];
+  return key;
+}
+
+// Inverse of PackRow. Packable keys have width <= 63, so the shifts
+// below stay defined.
+void UnpackRow(uint64_t key, size_t k, int width, uint64_t* row) {
+  const uint64_t mask = (uint64_t{1} << width) - 1;
+  for (size_t c = k; c-- > 0;) {
+    row[c] = key & mask;
+    key >>= width;
+  }
+}
+
+// Sorts the non-empty `keys` ascending and drops duplicates. Keys span
+// `bits` < 64 bits: an LSD radix sort over 8-bit digits, one pass per
+// digit that actually varies (a 3-attribute m=48 grid output spans 18
+// bits, so at most 3 passes).
+void SortUniqueKeys(std::vector<uint64_t>* keys, int bits) {
+  std::vector<uint64_t>& a = *keys;
+  const size_t n = a.size();
+  constexpr int kDigit = 8;
+  constexpr size_t kBuckets = size_t{1} << kDigit;
+  const int passes = (bits + kDigit - 1) / kDigit;
+  std::vector<size_t> counts(static_cast<size_t>(passes) * kBuckets, 0);
+  for (uint64_t key : a) {
+    for (int p = 0; p < passes; ++p) {
+      ++counts[p * kBuckets + ((key >> (p * kDigit)) & (kBuckets - 1))];
+    }
+  }
+  std::vector<uint64_t> tmp(n);
+  for (int p = 0; p < passes; ++p) {
+    size_t* count = &counts[p * kBuckets];
+    const int shift = p * kDigit;
+    if (count[(a[0] >> shift) & (kBuckets - 1)] == n) continue;
+    size_t pos = 0;
+    for (size_t b = 0; b < kBuckets; ++b) {
+      const size_t c = count[b];
+      count[b] = pos;
+      pos += c;
+    }
+    for (uint64_t key : a) {
+      tmp[count[(key >> shift) & (kBuckets - 1)]++] = key;
+    }
+    a.swap(tmp);
+  }
+  a.erase(std::unique(a.begin(), a.end()), a.end());
+}
+
+}  // namespace
+
 void CanonicalizeTuples(std::vector<Tuple>* tuples) {
   std::vector<Tuple>& ts = *tuples;
   if (ts.size() < 2) return;
-  // Equal arities whose fields fit one 64-bit key at a common width are
-  // ordered by that key — numeric order of fixed-width fields is their
-  // lexicographic order — instead of chasing two heap buffers per
-  // comparison. Results of one query always qualify on the dyadic grid.
+  // Equal arities whose fields pack into one key take the radix path;
+  // results of one query always qualify on the dyadic grid. Mixed
+  // arities or wide values fall back to comparing the vectors.
   const size_t k = ts[0].size();
   uint64_t all = 0;
   bool same_arity = true;
@@ -20,26 +90,23 @@ void CanonicalizeTuples(std::vector<Tuple>* tuples) {
     same_arity = same_arity && t.size() == k;
     for (uint64_t v : t) all |= v;
   }
-  const size_t width = all == 0 ? 0 : 64 - __builtin_clzll(all);
-  if (!same_arity || k * width >= 64) {
+  const int width = BitWidth(all);
+  if (!same_arity || !Packable(k, width)) {
     std::sort(ts.begin(), ts.end());
     ts.erase(std::unique(ts.begin(), ts.end()), ts.end());
     return;
   }
-  std::vector<std::pair<uint64_t, size_t>> keys(ts.size());
+  std::vector<uint64_t> keys(ts.size());
   for (size_t i = 0; i < ts.size(); ++i) {
-    uint64_t key = 0;
-    for (uint64_t v : ts[i]) key = key << width | v;
-    keys[i] = {key, i};
+    keys[i] = PackRow(ts[i].data(), k, width);
   }
-  std::sort(keys.begin(), keys.end());
-  std::vector<Tuple> out;
-  out.reserve(keys.size());
+  SortUniqueKeys(&keys, static_cast<int>(k) * width);
+  // Every tuple already has k fields: overwrite the first |keys| in
+  // place from the sorted keys and drop the rest.
+  ts.resize(keys.size());
   for (size_t i = 0; i < keys.size(); ++i) {
-    if (i > 0 && keys[i].first == keys[i - 1].first) continue;
-    out.push_back(std::move(ts[keys[i].second]));
+    UnpackRow(keys[i], k, width, ts[i].data());
   }
-  ts = std::move(out);
 }
 
 Relation Relation::Make(std::string name, std::vector<std::string> attrs,
@@ -68,14 +135,35 @@ void Relation::AddRow(const uint64_t* v) {
   ++rows_;
 }
 
+void Relation::Append(const Relation& other) {
+  data_.insert(data_.end(), other.data_.begin(), other.data_.end());
+  rows_ += other.rows_;
+}
+
 void Relation::Canonicalize() {
   const size_t k = attrs_.size();
   if (rows_ <= 1 || k == 0) {
     if (k == 0 && rows_ > 1) rows_ = 1;  // 0-ary: at most the empty tuple
     return;
   }
-  // Sort a row permutation, then gather into a fresh buffer: moving k
-  // values per swap during sort would thrash; indices are 8 bytes each.
+  uint64_t all = 0;
+  for (uint64_t v : data_) all |= v;
+  const int width = BitWidth(all);
+  if (Packable(k, width)) {
+    std::vector<uint64_t> keys(rows_);
+    for (size_t i = 0; i < rows_; ++i) {
+      keys[i] = PackRow(data_.data() + i * k, k, width);
+    }
+    SortUniqueKeys(&keys, static_cast<int>(k) * width);
+    rows_ = keys.size();
+    data_.resize(rows_ * k);
+    for (size_t i = 0; i < rows_; ++i) {
+      UnpackRow(keys[i], k, width, data_.data() + i * k);
+    }
+    return;
+  }
+  // Wide values: sort a row permutation, then gather into a fresh
+  // buffer — moving k values per swap during sort would thrash.
   const uint64_t* d = data_.data();
   std::vector<uint32_t> perm(rows_);
   std::iota(perm.begin(), perm.end(), 0u);

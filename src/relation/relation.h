@@ -29,7 +29,9 @@ namespace tetris {
 using Tuple = std::vector<uint64_t>;
 
 /// Sorts `tuples` lexicographically and removes duplicates: the canonical
-/// form of engine results and relation deltas.
+/// form of engine results and relation deltas. Shares Relation::
+/// Canonicalize's packed-key radix sort when all tuples have one arity
+/// and pack into 64-bit keys.
 void CanonicalizeTuples(std::vector<Tuple>* tuples);
 
 /// A non-owning view of one row inside a flat arity-strided buffer.
@@ -129,10 +131,14 @@ class Relation {
   void Add(const Tuple& t);
   /// Adds a row from any contiguous arity()-value span.
   void AddRow(const uint64_t* v);
+  /// Adds every row of `other`, which must have the same arity.
+  void Append(const Relation& other);
   /// Pre-allocates buffer space for `n` rows.
   void Reserve(size_t n) { data_.reserve(n * attrs_.size()); }
 
-  /// Sorts lexicographically and removes duplicates.
+  /// Sorts lexicographically and removes duplicates. Rows whose values
+  /// pack into one 64-bit key (arity * value bits < 64) are radix-sorted
+  /// by that key; wider rows fall back to a comparison sort.
   void Canonicalize();
 
   /// True iff `t` is a tuple of the relation. Requires canonical form.

@@ -73,6 +73,62 @@ TEST(DyadicBox, ToStringFormat) {
   EXPECT_EQ(b.ToString(), "<10, λ>");
 }
 
+// The copy contract: copy and assignment carry exactly dims() components
+// and the provenance bit, for every dimension count a box supports.
+TEST(DyadicBox, CopyAndAssignmentCarryEveryDimensionCount) {
+  Rng rng(11);
+  for (int n = 1; n <= kMaxDims; ++n) {
+    DyadicBox src = DyadicBox::Universal(n);
+    for (int i = 0; i < n; ++i) {
+      const int len = static_cast<int>(rng.Below(9));
+      src[i] = Iv(rng.Below(uint64_t{1} << len), len);
+    }
+    src.set_output_derived(n % 2 == 0);
+    const DyadicBox copied(src);
+    DyadicBox assigned = DyadicBox::Universal(kMaxDims);
+    assigned = src;
+    const DyadicBox* results[] = {&copied, &assigned};
+    for (const DyadicBox* b : results) {
+      ASSERT_EQ(b->dims(), n);
+      for (int i = 0; i < n; ++i) EXPECT_EQ((*b)[i], src[i]) << n << "/" << i;
+      EXPECT_EQ(*b, src);
+      EXPECT_EQ(b->output_derived(), src.output_derived());
+      EXPECT_EQ(DyadicBoxHash{}(*b), DyadicBoxHash{}(src));
+    }
+  }
+}
+
+TEST(DyadicBox, ProvenanceSurvivesCopyBothWays) {
+  DyadicBox tainted = DyadicBox::Of({Iv(0b1, 1), Iv(0b01, 2)});
+  tainted.set_output_derived(true);
+  DyadicBox copy = tainted;
+  EXPECT_TRUE(copy.output_derived());
+  DyadicBox clean = DyadicBox::Of({Iv(0b1, 1), Iv(0b01, 2)});
+  copy = clean;  // assignment clears the bit too
+  EXPECT_FALSE(copy.output_derived());
+  EXPECT_EQ(copy, tainted);  // equality ignores provenance
+}
+
+// Assigning a small box over a full-width one leaves stale components in
+// the slots past dims(); nothing may see them.
+TEST(DyadicBox, ShrinkingAssignmentEqualsAFreshBox) {
+  DyadicBox wide = DyadicBox::Universal(kMaxDims);
+  for (int i = 0; i < kMaxDims; ++i) wide[i] = Iv(0b101, 3);
+  const DyadicBox fresh = DyadicBox::Of({Iv(0b1, 1), DyadicInterval::Lambda(),
+                                         Iv(0b10, 2)});
+  wide = fresh;
+  EXPECT_EQ(wide.dims(), 3);
+  EXPECT_EQ(wide, fresh);
+  EXPECT_EQ(DyadicBoxHash{}(wide), DyadicBoxHash{}(fresh));
+  EXPECT_EQ(wide.ToString(), fresh.ToString());
+  EXPECT_EQ(wide.SupportMask(), 0b101u);
+  const DyadicBox inner = DyadicBox::Point({5, 6, 4}, 3);
+  EXPECT_EQ(wide.Contains(inner), fresh.Contains(inner));
+  EXPECT_TRUE(wide.Contains(inner));
+  EXPECT_TRUE(wide.Contains(fresh) && fresh.Contains(wide));
+  EXPECT_FALSE(wide.Contains(DyadicBox::Point({0, 6, 4}, 3)));
+}
+
 // Property: Contains(b) iff all points of b are points of a (checked by
 // sampling corners and random interior points).
 class BoxContainmentProperty : public ::testing::TestWithParam<int> {};

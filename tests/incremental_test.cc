@@ -409,12 +409,18 @@ TEST(IncrementalDifferentialTest, HintedTetrisShardsMergeSortedAcrossEntryPoints
   const std::vector<Tuple> expected = q.query.BruteForceJoin(depth);
   ASSERT_FALSE(expected.empty());
 
-  // The premise: under this hint the engine emits out of order.
+  // The premise: under this hint the engine's flat output holds the
+  // whole answer, but out of order.
   const auto owned = MakeSaoConsistentIndexes(q.query, order, depth);
   const JoinRunResult raw =
       RunTetrisJoin(q.query, IndexPtrs(owned), depth,
                     JoinAlgorithm::kTetrisPreloaded, order);
-  ASSERT_FALSE(std::is_sorted(raw.tuples.begin(), raw.tuples.end()));
+  ASSERT_EQ(raw.output.size(), expected.size());
+  const std::vector<Tuple> raw_tuples = raw.output.ToTuples();
+  ASSERT_FALSE(std::is_sorted(raw_tuples.begin(), raw_tuples.end()));
+  std::vector<Tuple> raw_sorted = raw_tuples;
+  std::sort(raw_sorted.begin(), raw_sorted.end());
+  ASSERT_EQ(raw_sorted, expected);
 
   EngineOptions opts;
   opts.order = order;

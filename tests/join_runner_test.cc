@@ -19,6 +19,11 @@ std::vector<Tuple> Sorted(std::vector<Tuple> v) {
   return v;
 }
 
+// A run's flat output (emission order) as sorted tuples.
+std::vector<Tuple> SortedOutput(const JoinRunResult& res) {
+  return Sorted(res.output.ToTuples());
+}
+
 const std::vector<JoinAlgorithm> kAllAlgos = {
     JoinAlgorithm::kTetrisPreloaded,
     JoinAlgorithm::kTetrisReloaded,
@@ -36,8 +41,25 @@ TEST(JoinRunner, TriangleSmall) {
   ASSERT_FALSE(expected.empty());
   for (JoinAlgorithm algo : kAllAlgos) {
     auto res = RunTetrisJoinDefaultIndexes(q, algo);
-    EXPECT_EQ(Sorted(res.tuples), expected)
+    EXPECT_EQ(SortedOutput(res), expected)
         << "algo=" << static_cast<int>(algo);
+  }
+}
+
+// The output is one flat buffer over the query attributes: one
+// arity-n row per reported point, in emission order, nothing else.
+TEST(JoinRunner, OutputIsOneFlatRowPerReportedPoint) {
+  Relation r = Relation::Make("R", {"A", "B"}, {{0, 1}, {1, 2}, {2, 0}});
+  Relation s = Relation::Make("S", {"B", "C"}, {{1, 2}, {2, 0}, {0, 1}});
+  Relation t = Relation::Make("T", {"A", "C"}, {{0, 2}, {1, 0}, {2, 1}});
+  JoinQuery q = JoinQuery::Build({&r, &s, &t});
+  for (JoinAlgorithm algo : kAllAlgos) {
+    SCOPED_TRACE(static_cast<int>(algo));
+    auto res = RunTetrisJoinDefaultIndexes(q, algo);
+    EXPECT_EQ(res.output.attrs(), q.attrs());
+    EXPECT_EQ(res.output.size(), static_cast<size_t>(res.stats.outputs));
+    EXPECT_EQ(res.output.raw().size(),
+              res.output.size() * static_cast<size_t>(q.num_attrs()));
   }
 }
 
@@ -49,7 +71,7 @@ TEST(JoinRunner, PathQueryTwoHops) {
   EXPECT_EQ(expected.size(), 5u);  // (0,1,4),(0,1,7),(5,1,4),(5,1,7),(2,3,0)
   for (JoinAlgorithm algo : kAllAlgos) {
     auto res = RunTetrisJoinDefaultIndexes(q, algo);
-    EXPECT_EQ(Sorted(res.tuples), expected);
+    EXPECT_EQ(SortedOutput(res), expected);
   }
 }
 
@@ -59,7 +81,7 @@ TEST(JoinRunner, EmptyIntersectionIsEmpty) {
   JoinQuery q = JoinQuery::Build({&r, &s});
   for (JoinAlgorithm algo : kAllAlgos) {
     auto res = RunTetrisJoinDefaultIndexes(q, algo);
-    EXPECT_TRUE(res.tuples.empty());
+    EXPECT_EQ(res.output.size(), 0u);
   }
 }
 
@@ -67,7 +89,7 @@ TEST(JoinRunner, SingleRelationEnumeratesItself) {
   Relation r = Relation::Make("R", {"A", "B"}, {{1, 2}, {3, 4}, {0, 7}});
   JoinQuery q = JoinQuery::Build({&r});
   auto res = RunTetrisJoinDefaultIndexes(q, JoinAlgorithm::kTetrisReloaded);
-  EXPECT_EQ(Sorted(res.tuples),
+  EXPECT_EQ(SortedOutput(res),
             Sorted({{1, 2}, {3, 4}, {0, 7}}));
 }
 
@@ -76,7 +98,7 @@ TEST(JoinRunner, EmptyRelationShortCircuits) {
   Relation e("E", {"B", "C"});
   JoinQuery q = JoinQuery::Build({&r, &e});
   auto res = RunTetrisJoinDefaultIndexes(q, JoinAlgorithm::kTetrisReloaded);
-  EXPECT_TRUE(res.tuples.empty());
+  EXPECT_EQ(res.output.size(), 0u);
   // The empty relation's single universal gap box should satisfy the
   // whole query after loading O(1) boxes.
   EXPECT_LE(res.stats.boxes_loaded, 4);
@@ -92,7 +114,7 @@ TEST(JoinRunner, BowtieWithUnaryRelations) {
   EXPECT_EQ(expected, (std::vector<Tuple>{{1, 3}}));
   for (JoinAlgorithm algo : kAllAlgos) {
     auto res = RunTetrisJoinDefaultIndexes(q, algo);
-    EXPECT_EQ(Sorted(res.tuples), expected);
+    EXPECT_EQ(SortedOutput(res), expected);
   }
 }
 
@@ -112,7 +134,7 @@ TEST(JoinRunner, WorksWithDyadicTreeAndMultiIndexes) {
   // Dyadic-tree indexes.
   DyadicTreeIndex ri(r, d), si(s, d);
   auto res = RunTetrisJoin(q, {&ri, &si}, d, JoinAlgorithm::kTetrisReloaded);
-  EXPECT_EQ(Sorted(res.tuples), expected);
+  EXPECT_EQ(SortedOutput(res), expected);
 
   // Multi-index: both sort orders plus the dyadic tree.
   auto mk_multi = [&](const Relation& rel) {
@@ -127,11 +149,11 @@ TEST(JoinRunner, WorksWithDyadicTreeAndMultiIndexes) {
   auto res2 =
       RunTetrisJoin(q, {rm.get(), sm.get()}, d,
                     JoinAlgorithm::kTetrisReloaded);
-  EXPECT_EQ(Sorted(res2.tuples), expected);
+  EXPECT_EQ(SortedOutput(res2), expected);
   auto res3 =
       RunTetrisJoin(q, {rm.get(), sm.get()}, d,
                     JoinAlgorithm::kTetrisPreloaded);
-  EXPECT_EQ(Sorted(res3.tuples), expected);
+  EXPECT_EQ(SortedOutput(res3), expected);
 }
 
 TEST(JoinRunner, WorksWithKdTreeAndRTreeIndexes) {
@@ -152,18 +174,18 @@ TEST(JoinRunner, WorksWithKdTreeAndRTreeIndexes) {
   KdTreeIndex rk(r, d, 2), sk(s, d, 2), tk(t, d, 2);
   auto res_kd = RunTetrisJoin(q, {&rk, &sk, &tk}, d,
                               JoinAlgorithm::kTetrisReloaded);
-  EXPECT_EQ(Sorted(res_kd.tuples), expected);
+  EXPECT_EQ(SortedOutput(res_kd), expected);
 
   RTreeIndex rr(r, d, 4), sr(s, d, 4), tr(t, d, 4);
   auto res_rt = RunTetrisJoin(q, {&rr, &sr, &tr}, d,
                               JoinAlgorithm::kTetrisReloaded);
-  EXPECT_EQ(Sorted(res_rt.tuples), expected);
+  EXPECT_EQ(SortedOutput(res_rt), expected);
 
   // Mixed configuration: one index type per relation.
   SortedIndex rs(r, d);
   auto res_mix = RunTetrisJoin(q, {&rs, &sk, &tr}, d,
                                JoinAlgorithm::kTetrisPreloaded);
-  EXPECT_EQ(Sorted(res_mix.tuples), expected);
+  EXPECT_EQ(SortedOutput(res_mix), expected);
 }
 
 // Randomized integration sweep across query shapes, index types, and all
@@ -220,7 +242,7 @@ TEST_P(JoinProperty, AllVariantsMatchBruteForce) {
 
   for (JoinAlgorithm algo : kAllAlgos) {
     auto res = RunTetrisJoinDefaultIndexes(q, algo);
-    ASSERT_EQ(Sorted(res.tuples), expected)
+    ASSERT_EQ(SortedOutput(res), expected)
         << "shape=" << shape << " algo=" << static_cast<int>(algo);
     EXPECT_EQ(res.stats.outputs, static_cast<int64_t>(expected.size()));
   }

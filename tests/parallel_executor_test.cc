@@ -13,7 +13,9 @@
 #include <vector>
 
 #include "engine/join_engine.h"
+#include "engine/shard_planner.h"
 #include "index/index_view.h"
+#include "index/sorted_index.h"
 #include "workload/generators.h"
 
 namespace tetris {
@@ -154,6 +156,76 @@ TEST(RunShardedJoinTest, ShardedMatchesUnshardedForEveryEngine) {
       EXPECT_EQ(sharded.stats.output_tuples, plain.stats.output_tuples);
       EXPECT_EQ(sharded.stats.shards, 4u);
       EXPECT_EQ(sharded.shard_runs.size(), 4u);
+    }
+  }
+}
+
+// |B(Q)| is taken from the enumeration a preloaded run already does. It
+// must equal a fresh CountAllGaps over the same indexes — per shard,
+// over that shard's IndexViews — and stay 0 for the reloaded kinds,
+// which never enumerate B(Q).
+TEST(RunShardedJoinTest, InputGapBoxesMatchAFreshCountPlainAndSharded) {
+  QueryInstance q = RandomTriangle(/*tuples_per_rel=*/30, /*d=*/4,
+                                   /*seed=*/21);
+  std::vector<std::unique_ptr<Index>> owned;
+  for (const Atom& a : q.query.atoms()) {
+    owned.push_back(std::make_unique<SortedIndex>(*a.rel, q.depth));
+  }
+  const std::vector<const Index*> base = IndexPtrs(owned);
+  const size_t whole =
+      RelationOracle(&q.query, base, q.depth).CountAllGaps();
+  ASSERT_GT(whole, 0u);
+
+  ShardPlanOptions popt;
+  popt.shards = 4;
+  popt.depth = q.depth;
+  const ShardPlan plan = PlanShards(q.query, popt);
+  std::vector<size_t> shard_gaps(plan.shards.size(), 0);
+  for (const Shard& shard : plan.shards) {
+    if (shard.empty) continue;
+    std::vector<IndexView> views;
+    for (size_t a = 0; a < base.size(); ++a) {
+      const Atom& atom = q.query.atoms()[a];
+      DyadicBox abox =
+          DyadicBox::Universal(static_cast<int>(atom.var_ids.size()));
+      for (size_t c = 0; c < atom.var_ids.size(); ++c) {
+        abox[static_cast<int>(c)] = shard.box[atom.var_ids[c]];
+      }
+      views.emplace_back(base[a], abox);
+    }
+    std::vector<const Index*> ptrs;
+    for (const IndexView& v : views) ptrs.push_back(&v);
+    shard_gaps[shard.id] =
+        RelationOracle(&q.query, ptrs, q.depth).CountAllGaps();
+  }
+
+  EngineOptions plain_opts;
+  plain_opts.indexes = base;
+  EngineOptions sharded_opts = plain_opts;
+  sharded_opts.shards = 4;
+  for (EngineKind kind : AllEngineKinds()) {
+    if (!TetrisAlgorithmOf(kind).has_value()) continue;
+    SCOPED_TRACE(EngineKindName(kind));
+    const bool preloaded = kind == EngineKind::kTetrisPreloaded ||
+                           kind == EngineKind::kTetrisPreloadedNoCache ||
+                           kind == EngineKind::kTetrisPreloadedLB;
+    const EngineResult plain = RunJoin(q.query, kind, plain_opts);
+    ASSERT_TRUE(plain.ok) << plain.error;
+    EXPECT_EQ(plain.stats.input_gap_boxes, preloaded ? whole : 0u);
+
+    const EngineResult sharded = RunJoin(q.query, kind, sharded_opts);
+    ASSERT_TRUE(sharded.ok) << sharded.error;
+    ASSERT_EQ(sharded.shard_runs.size(), plan.shards.size());
+    size_t total = 0;
+    for (const ShardRunInfo& info : sharded.shard_runs) {
+      ASSERT_EQ(info.box, plan.shards[info.shard_id].box.ToString());
+      const size_t want = preloaded ? shard_gaps[info.shard_id] : 0;
+      EXPECT_EQ(info.stats.input_gap_boxes, want) << info.box;
+      total += want;
+    }
+    EXPECT_EQ(sharded.stats.input_gap_boxes, total);
+    if (preloaded) {
+      EXPECT_GT(total, 0u);
     }
   }
 }

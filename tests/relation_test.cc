@@ -108,35 +108,61 @@ TEST(Relation, RandomizedCanonicalizeMatchesTupleModel) {
   }
 }
 
-// CanonicalizeTuples against std::sort + std::unique, on both of its
-// paths: packed keys (equal arity, up to 4 fields of 15 bits or one of
-// 40) and the plain sort (mixed arity, or two or more 40-bit fields).
+// Randomized differential of the packed-key canonicalizer, through both
+// entry points — flat rows (Relation::Canonicalize) and CanonicalizeTuples
+// — against std::sort + std::unique. Rounds cover arity 0-4, empty input,
+// heavy duplicates, inputs of a few to ~1000 rows, keys that
+// pack into fewer than 64 bits (radix), exactly 64 bits and more (the
+// comparison fallback), and mixed arities (CanonicalizeTuples only).
 TEST(Relation, CanonicalizeTuplesMatchesSortUnique) {
   Rng rng(77);
-  for (int round = 0; round < 60; ++round) {
-    const int k = 1 + static_cast<int>(rng.Below(4));
-    const int shape = round % 4;
-    const uint64_t bound = shape == 0   ? 8
-                           : shape == 1 ? uint64_t{1} << 15
-                                        : uint64_t{1} << 40;
+  for (int round = 0; round < 400; ++round) {
+    const int k = static_cast<int>(rng.Below(5));
+    const int shape = round % 5;
+    // Value width: tiny (many duplicates), packable, a key of exactly
+    // 64 bits (k fields of 64/k bits when k divides 64), and wide.
+    int width = 0;
+    switch (shape) {
+      case 0: width = 3; break;
+      case 1: width = k == 0 ? 1 : static_cast<int>(63 / k); break;
+      case 2: width = k == 0 ? 1 : (k == 3 ? 22 : 64 / k); break;
+      default: width = 40 + static_cast<int>(rng.Below(25)); break;
+    }
+    const uint64_t mask = width >= 64 ? ~uint64_t{0}
+                                      : (uint64_t{1} << width) - 1;
+    const size_t n = round % 7 == 0 ? 0 : rng.Below(round % 3 == 0 ? 600 : 70);
+    const bool mixed = shape == 4 && round % 2 == 0;
     std::vector<Tuple> tuples;
-    const size_t n = rng.Below(80);
     for (size_t i = 0; i < n; ++i) {
-      // Mixed arities in the last shape.
-      Tuple t(shape == 3 ? 1 + rng.Below(4) : k);
-      for (uint64_t& v : t) v = rng.Below(bound);
+      Tuple t(mixed ? rng.Below(5) : static_cast<uint64_t>(k));
+      for (uint64_t& v : t) v = rng.Next() & mask;
+      // Pin the top bit now and then so the key width is exact.
+      if (!t.empty() && rng.Chance(0.2)) t[0] |= uint64_t{1} << (width - 1);
       tuples.push_back(t);
       if (rng.Chance(0.3)) tuples.push_back(t);  // duplicates
     }
     std::vector<Tuple> want = tuples;
     std::sort(want.begin(), want.end());
     want.erase(std::unique(want.begin(), want.end()), want.end());
-    CanonicalizeTuples(&tuples);
-    EXPECT_EQ(tuples, want) << "round " << round;
+
+    std::vector<Tuple> canon = tuples;
+    CanonicalizeTuples(&canon);
+    EXPECT_EQ(canon, want) << "round " << round;
+    if (mixed) continue;
+    Relation r("R", std::vector<std::string>(static_cast<size_t>(k), "x"));
+    for (const Tuple& t : tuples) r.Add(t);
+    r.Canonicalize();
+    EXPECT_EQ(r.size(), want.size()) << "round " << round;
+    std::vector<uint64_t> flat_want;
+    for (const Tuple& t : want) flat_want.insert(flat_want.end(), t.begin(), t.end());
+    EXPECT_EQ(r.raw(), flat_want) << "round " << round;
   }
   std::vector<Tuple> zeros(5, Tuple(3, 0));
   CanonicalizeTuples(&zeros);
   EXPECT_EQ(zeros, std::vector<Tuple>{Tuple(3, 0)});
+  std::vector<Tuple> empties(4);
+  CanonicalizeTuples(&empties);
+  EXPECT_EQ(empties, std::vector<Tuple>(1));
 }
 
 TEST(RelationView, MaterializeGathersRowsFromFlatBase) {

@@ -92,6 +92,7 @@ TEST(Resolution, OutputTaintPropagates) {
   EXPECT_TRUE(r->box.output_derived());
   w2.set_output_derived(false);
   r = GeometricResolve(w1, w2);
+  ASSERT_TRUE(r.has_value());
   EXPECT_FALSE(r->box.output_derived());
 }
 
