@@ -23,7 +23,7 @@
 // RunBatch is the general case of the one shard pipeline
 // (RunShardPipeline, engine/parallel_executor.h): it validates the
 // batch-level knobs and resolves the shared depth, and the pipeline does
-// the rest. A sharded RunJoin is a batch of one; so is a PatchJoin, with
+// the rest. A RunJoin is a batch of one; so is a PatchJoin, with
 // a shard filter.
 //
 // Results are per-query EngineResults, tuple-identical to what a

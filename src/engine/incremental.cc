@@ -75,11 +75,10 @@ PatchResult PatchJoin(const JoinQuery& query, EngineKind kind,
   };
 
   // Validation mirrors RunJoin so a patch fails exactly where a fresh
-  // run would — delegating to RunJoin for unsupported shapes keeps the
-  // rejection message canonical (e.g. "yannakakis: query is not
-  // alpha-acyclic").
-  if (!EngineSupports(kind, query)) {
-    out.result = RunJoin(query, kind, options);
+  // run would, with the same message. An unsupported query counts as a
+  // full recompute, as a fresh run is what would have been needed.
+  out.result.error = EngineSupportError(kind, query);
+  if (!out.result.error.empty()) {
     out.full_recompute = true;
     return finish();
   }
@@ -91,6 +90,8 @@ PatchResult PatchJoin(const JoinQuery& query, EngineKind kind,
     out.result.ok = true;
     out.result.tuples = old_tuples;
     out.result.stats.output_tuples = old_tuples.size();
+    out.result.stats.memory.output_bytes =
+        ResultOutputBytes(old_tuples.size(), query.num_attrs());
     out.tuples_kept = old_tuples.size();
     out.note = "empty delta: result unchanged, 0 shards re-run";
     AppendNote(&out.result.shard_note, out.note);
@@ -155,7 +156,7 @@ PatchResult PatchJoin(const JoinQuery& query, EngineKind kind,
   CanonicalizeTuples(&res.tuples);
   res.stats.output_tuples = res.tuples.size();
   res.stats.memory.output_bytes =
-      EstimateAtomBytes(res.tuples.size(), query.num_attrs());
+      ResultOutputBytes(res.tuples.size(), query.num_attrs());
   out.note = "patched " + std::to_string(out.shards_rerun) + "/" +
              std::to_string(out.shards_total) + " shards from " +
              std::to_string(touched.size()) + " touched box(es); kept " +

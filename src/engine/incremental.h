@@ -75,7 +75,8 @@ struct PatchResult {
   size_t tuples_kept = 0;     ///< old tuples outside every re-run box
   size_t tuples_patched = 0;  ///< fresh tuples from the re-run shards
   /// True when the patch degenerated to a full RunJoin (a universal
-  /// touched box, a shard failure, or a query the planner cannot split).
+  /// touched box or a shard failure), or would have needed one (a query
+  /// the engine cannot run, which fails with RunJoin's error).
   bool full_recompute = false;
   std::string note;  ///< human-readable patch diagnostics
 };

@@ -3,12 +3,7 @@
 #include <chrono>
 #include <optional>
 
-#include "baseline/generic_join.h"
-#include "baseline/leapfrog.h"
-#include "baseline/pairwise_join.h"
-#include "baseline/yannakakis.h"
 #include "engine/parallel_executor.h"
-#include "index/sorted_index.h"
 
 namespace tetris {
 
@@ -68,86 +63,38 @@ std::string CustomIndexError(const JoinQuery& query,
   return "";
 }
 
-// RunJoin's sharded path: a batch of one through the shard pipeline
-// (engine/parallel_executor.h), behind RunJoin's index and depth checks.
-EngineResult RunShardedJoin(const JoinQuery& query, EngineKind kind,
-                            const EngineOptions& options) {
-  EngineResult result;
-  result.stats.engine = kind;
-  const int depth = GridDepth(query, options);
-  if (!options.indexes.empty() && !TetrisAlgorithmOf(kind).has_value()) {
-    result.error =
-        "indexes: only the Tetris family combines custom indexes with "
-        "sharded execution (views restrict probes to the shard box; the "
-        "baselines rescan materialized shard copies)";
-    return result;
+// RunJoin's option checks, in order, for plain and sharded runs alike.
+std::string OptionsError(const JoinQuery& query, EngineKind kind,
+                         const EngineOptions& options, bool sharded,
+                         int depth) {
+  std::string error =
+      OrderHintError(kind, options.order, query.num_attrs());
+  if (!error.empty()) return error;
+  if (!options.indexes.empty() &&
+      options.indexes.size() != query.atoms().size()) {
+    return "indexes: need exactly one index per query atom";
   }
-  result.error = CustomIndexError(query, options.indexes, depth);
-  if (result.error.empty() && depth < query.MinDepth()) {
-    result.error = "depth: too small for the data "
-                   "(need at least query.MinDepth())";
+  if (options.shards < kAutoShards) {
+    return "shards: want -1 (auto), 0/1 (off), or >= 2";
   }
-  if (!result.error.empty()) return result;
-  ShardQuery shard_query;
-  shard_query.query = &query;
-  shard_query.indexes = options.indexes;
-  return std::move(
-      RunShardPipeline({shard_query}, kind, OneQueryBatch(options, depth))
-          .results[0]);
-}
-
-// Derives the GAO Leapfrog / Generic Join should run under from the
-// column orders of per-atom SortedIndexes: each index's trie order
-// constrains its atom's attributes to appear in that relative order, and
-// the GAO is any topological order of the union of those constraints
-// (smallest attribute id first on ties, so the result is deterministic).
-bool DeriveGaoFromIndexes(const JoinQuery& query,
-                          const std::vector<const Index*>& indexes,
-                          std::vector<int>* gao, std::string* error) {
-  const int n = query.num_attrs();
-  std::vector<std::vector<int>> succ(n);
-  std::vector<int> indeg(n, 0);
-  for (size_t i = 0; i < indexes.size(); ++i) {
-    const auto* si = dynamic_cast<const SortedIndex*>(indexes[i]);
-    if (si == nullptr) {
-      *error = "indexes: leapfrog / generic-join derive their trie order "
-               "from SortedIndexes only";
-      return false;
-    }
-    const Atom& atom = query.atoms()[i];
-    if (si->arity() != static_cast<int>(atom.var_ids.size())) {
-      *error = "indexes: index arity disagrees with its atom";
-      return false;
-    }
-    const std::vector<int>& order = si->order();
-    for (size_t l = 0; l + 1 < order.size(); ++l) {
-      const int u = atom.var_ids[order[l]];
-      const int v = atom.var_ids[order[l + 1]];
-      if (u == v) continue;  // atom repeats an attribute
-      succ[u].push_back(v);
-      ++indeg[v];
-    }
+  if (options.threads < 0) {
+    return "threads: want 0 (hardware concurrency) or >= 1";
   }
-  gao->clear();
-  std::vector<bool> placed(n, false);
-  for (int step = 0; step < n; ++step) {
-    int pick = -1;
-    for (int v = 0; v < n; ++v) {
-      if (!placed[v] && indeg[v] == 0) {
-        pick = v;
-        break;
-      }
-    }
-    if (pick < 0) {
-      *error = "indexes: the SortedIndex column orders conflict "
-               "(no attribute order is consistent with every trie)";
-      return false;
-    }
-    placed[pick] = true;
-    gao->push_back(pick);
-    for (int w : succ[pick]) --indeg[w];
+  if (sharded && !options.indexes.empty() &&
+      !TetrisAlgorithmOf(kind).has_value()) {
+    return "indexes: only the Tetris family combines custom indexes with "
+           "sharded execution (views restrict probes to the shard box; the "
+           "baselines rescan materialized shard copies)";
   }
-  return true;
+  error = CustomIndexError(query, options.indexes, depth);
+  if (!error.empty()) return error;
+  // A caller-chosen grid shallower than the data cannot represent it:
+  // indexes built at that depth misbehave silently.
+  if ((options.depth > 0 || !options.indexes.empty()) &&
+      depth < query.MinDepth()) {
+    return "depth: too small for the data (need at least query.MinDepth())";
+  }
+  return "";
 }
 
 }  // namespace
@@ -226,167 +173,46 @@ std::string OrderHintError(EngineKind kind, const std::vector<int>& order,
   return "";
 }
 
+std::string EngineSupportError(EngineKind kind, const JoinQuery& query) {
+  if (EngineSupports(kind, query)) return "";
+  // Only Yannakakis is partial: it needs an alpha-acyclic query.
+  return std::string(EngineKindName(kind)) + ": query is not alpha-acyclic";
+}
+
 EngineResult RunJoin(const JoinQuery& query, EngineKind kind,
                      const EngineOptions& options) {
+  const auto start = std::chrono::steady_clock::now();
   EngineResult result;
   result.stats.engine = kind;
-  const auto start = std::chrono::steady_clock::now();
-
-  const std::optional<JoinAlgorithm> tetris_algo = TetrisAlgorithmOf(kind);
-  result.error = OrderHintError(kind, options.order, query.num_attrs());
-  if (!result.error.empty()) return result;
-  if (!options.indexes.empty() &&
-      options.indexes.size() != query.atoms().size()) {
-    result.error = "indexes: need exactly one index per query atom";
-    return result;
-  }
-  if (options.shards < kAutoShards) {
-    result.error = "shards: want -1 (auto), 0/1 (off), or >= 2";
-    return result;
-  }
-  if (options.threads < 0) {
-    result.error = "threads: want 0 (hardware concurrency) or >= 1";
-    return result;
-  }
-
-  // Sharded execution: a batch of one through the shard pipeline, whose
-  // baseline shards re-enter RunJoin with plain sequential options. A
-  // thread count other than 1 implies sharding (shards are the unit of
+  // A thread count other than 1 implies sharding (shards are the unit of
   // parallelism).
-  const bool wants_sharding =
-      options.shards == kAutoShards || options.shards > 1 ||
-      options.memory_budget_bytes > 0 || options.threads != 1;
-  if (wants_sharding) {
-    EngineOptions sharded = options;
-    if (sharded.shards == 0 || sharded.shards == 1) {
-      sharded.shards = kAutoShards;
-    }
-    result = RunShardedJoin(query, kind, sharded);
-    result.stats.wall_ms = std::chrono::duration<double, std::milli>(
-                               std::chrono::steady_clock::now() - start)
-                               .count();
-    return result;
-  }
+  const bool sharded = options.shards == kAutoShards || options.shards > 1 ||
+                       options.memory_budget_bytes > 0 ||
+                       options.threads != 1;
+  const int depth = GridDepth(query, options);
+  result.error = OptionsError(query, kind, options, sharded, depth);
+  if (!result.error.empty()) return result;
 
-  if (tetris_algo.has_value()) {
-    // A grid shallower than the data cannot represent it: indexes built
-    // at that depth misbehave silently, so reject up front (the custom-
-    // index path re-checks below because it may adopt the indexes'
-    // depth instead).
-    if (options.depth > 0 && options.depth < query.MinDepth()) {
-      result.error = "depth: too small for the data "
-                     "(need at least query.MinDepth())";
-      return result;
-    }
-    const int depth = GridDepth(query, options);
-    JoinRunResult run;
-    if (!options.indexes.empty()) {
-      // With no explicit depth the run adopts the indexes' (still
-      // checking they agree among themselves and cover the data).
-      result.error = CustomIndexError(query, options.indexes, depth);
-      if (!result.error.empty()) return result;
-      if (depth < query.MinDepth()) {
-        result.error = "indexes: depth too small for the data "
-                       "(need at least query.MinDepth())";
-        return result;
-      }
-      run = RunTetrisJoin(query, options.indexes, depth, *tetris_algo,
-                          options.order);
-    } else if (options.order.empty() && options.depth == 0) {
-      run = RunTetrisJoinDefaultIndexes(query, *tetris_algo);
-    } else if (options.order.empty()) {
-      // Depth override, default index layout (relation column order) and
-      // variant-appropriate default SAO.
-      std::vector<std::unique_ptr<Index>> owned;
-      std::vector<const Index*> ptrs;
-      for (const Atom& a : query.atoms()) {
-        owned.push_back(std::make_unique<SortedIndex>(*a.rel, depth));
-        ptrs.push_back(owned.back().get());
-      }
-      run = RunTetrisJoin(query, ptrs, depth, *tetris_algo);
-    } else {
-      auto owned = MakeSaoConsistentIndexes(query, options.order, depth);
-      run = RunTetrisJoin(query, IndexPtrs(owned), depth, *tetris_algo,
-                          options.order);
-    }
-    // One packed-key sort of the flat output, then the facade tuples
-    // are built once, already in canonical order.
-    run.output.Canonicalize();
-    result.tuples = run.output.ToTuples();
-    result.stats.tetris = run.stats;
-    result.stats.input_gap_boxes = run.input_gap_boxes;
-    result.stats.oracle_probes = run.oracle_probes;
-    result.stats.memory.kb_bytes =
-        static_cast<size_t>(run.stats.kb_peak_bytes);
-    result.stats.memory.index_bytes = run.index_bytes;
-    result.ok = true;
-  } else {
-    // An explicit order hint wins; otherwise SortedIndexes supply the
-    // trie order, so index ablations reach the WCOJ baselines too.
-    std::vector<int> gao = options.order;
-    if (gao.empty() && !options.indexes.empty() &&
-        (kind == EngineKind::kLeapfrog ||
-         kind == EngineKind::kGenericJoin)) {
-      if (!DeriveGaoFromIndexes(query, options.indexes, &gao,
-                                &result.error)) {
-        return result;
-      }
-    }
-    switch (kind) {
-      case EngineKind::kLeapfrog:
-        result.tuples =
-            LeapfrogTriejoin(query, gao, &result.stats.seeks);
-        result.ok = true;
-        break;
-      case EngineKind::kGenericJoin:
-        result.tuples =
-            GenericJoin(query, gao, &result.stats.probes);
-        result.ok = true;
-        break;
-      case EngineKind::kYannakakis: {
-        auto out = YannakakisJoin(query, &result.stats.baseline);
-        if (out.has_value()) {
-          result.tuples = std::move(*out);
-          result.ok = true;
-        } else {
-          result.error = "yannakakis: query is not alpha-acyclic";
-        }
-        break;
-      }
-      case EngineKind::kPairwiseHash:
-        result.tuples = PairwiseJoinPlan(query, PairwiseMethod::kHash,
-                                         &result.stats.baseline);
-        result.ok = true;
-        break;
-      case EngineKind::kPairwiseSortMerge:
-        result.tuples = PairwiseJoinPlan(query, PairwiseMethod::kSortMerge,
-                                         &result.stats.baseline);
-        result.ok = true;
-        break;
-      case EngineKind::kPairwiseNestedLoop:
-        result.tuples = PairwiseJoinPlan(query, PairwiseMethod::kNestedLoop,
-                                         &result.stats.baseline);
-        result.ok = true;
-        break;
-      default:
-        result.error = "unknown engine kind";
-        break;
-    }
-    if (result.ok) CanonicalizeTuples(&result.tuples);
+  BatchOptions batch = OneQueryBatch(options, depth);
+  if (sharded && batch.shards <= 1) batch.shards = kAutoShards;
+  ShardQuery one;
+  one.query = &query;
+  one.indexes = options.indexes;
+  result = std::move(RunShardPipeline({one}, kind, batch).results[0]);
+  if (!sharded) {
+    // A plain run is the single-shard plan run inline; it reports none
+    // of the sharded-run fields.
+    result.stats.shards = 0;
+    result.stats.threads = 0;
+    result.stats.max_shard_peak_bytes = 0;
+    result.stats.estimated_max_shard_peak_bytes = 0;
+    result.stats.plan_bytes = 0;
+    result.shard_runs.clear();
+    result.shard_note.clear();
   }
-
-  if (result.ok) {
-    result.stats.output_tuples = result.tuples.size();
-    result.stats.memory.intermediate_bytes =
-        result.stats.baseline.max_intermediate_bytes;
-    result.stats.memory.output_bytes =
-        result.tuples.size() *
-        (sizeof(Tuple) +
-         static_cast<size_t>(query.num_attrs()) * sizeof(uint64_t));
-  }
-  const auto end = std::chrono::steady_clock::now();
-  result.stats.wall_ms =
-      std::chrono::duration<double, std::milli>(end - start).count();
+  result.stats.wall_ms = std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
   return result;
 }
 

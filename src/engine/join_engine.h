@@ -12,6 +12,12 @@
 // All engines return output columns in query attribute-id order; the
 // facade canonicalizes (sorts + dedups) the tuples so results are
 // directly comparable across engines.
+//
+// RunJoin validates its options and hands every request to the one shard
+// pipeline (engine/parallel_executor.h), which also serves RunBatch and
+// PatchJoin. A plain request (shards 0/1, threads 1, no memory budget)
+// is the trivial 0-bit split of the output space: a single-shard plan
+// run inline on the calling thread, reported as a plain run.
 #ifndef TETRIS_ENGINE_JOIN_ENGINE_H_
 #define TETRIS_ENGINE_JOIN_ENGINE_H_
 
@@ -64,6 +70,10 @@ bool EngineSupports(EngineKind kind, const JoinQuery& query);
 std::string OrderHintError(EngineKind kind, const std::vector<int>& order,
                            int num_attrs);
 
+/// Empty when `kind` can evaluate `query` (EngineSupports); otherwise the
+/// error every entry point reports for it.
+std::string EngineSupportError(EngineKind kind, const JoinQuery& query);
+
 /// The join_runner algorithm behind a Tetris-family kind; nullopt for
 /// the baselines. The sharded executor uses it to pick the zero-copy
 /// view path (Tetris family) over lazy materialization (baselines).
@@ -89,6 +99,15 @@ struct MemoryStats {
     return peak;
   }
 };
+
+/// MemoryStats::output_bytes of a final result: `tuples` facade Tuples
+/// of `num_attrs` values each (vector header plus payload). Every entry
+/// point reports its result with it; per-shard counters of flat Tetris
+/// rows use EstimateAtomBytes (engine/shard_planner.h) instead.
+inline size_t ResultOutputBytes(size_t tuples, int num_attrs) {
+  return tuples *
+         (sizeof(Tuple) + static_cast<size_t>(num_attrs) * sizeof(uint64_t));
+}
 
 /// Engine-agnostic run counters. Engine-specific measures are zero when
 /// the engine does not produce them.
@@ -164,15 +183,17 @@ struct EngineOptions {
   /// Leapfrog and Generic Join derive their trie order (GAO) from
   /// SortedIndex column orders when `order` is empty, so index ablations
   /// cover the WCOJ baselines too. Ignored by Yannakakis and the
-  /// pairwise plans; rejected when sharding is requested on a non-Tetris
-  /// engine (the baselines rescan materialized shard copies). Empty =
+  /// pairwise plans, though every engine checks their count, arity and
+  /// depth; rejected when sharding is requested on a non-Tetris engine
+  /// (the baselines rescan materialized shard copies). Empty =
   /// engine-appropriate defaults. Pointers must outlive the call; the
   /// size must match the atom count.
   std::vector<const Index*> indexes;
 
   /// Dyadic depth of the value domain; 0 = query.MinDepth(). Only
   /// meaningful for the Tetris family (which works on the dyadic grid)
-  /// and the shard planner (which splits the dyadic domain).
+  /// and the shard planner (which splits the dyadic domain), but every
+  /// engine rejects a depth below query.MinDepth().
   int depth = 0;
 
   /// Dyadic-prefix sharding (engine/shard_planner.h): 0 or 1 = off,

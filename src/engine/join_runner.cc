@@ -140,18 +140,24 @@ JoinRunResult RunTetrisJoin(const JoinQuery& query,
   return result;
 }
 
+std::vector<int> SaoColumnOrder(const Atom& atom,
+                                const std::vector<int>& sao_pos) {
+  std::vector<int> cols(atom.var_ids.size());
+  for (size_t c = 0; c < cols.size(); ++c) cols[c] = static_cast<int>(c);
+  std::sort(cols.begin(), cols.end(), [&](int x, int y) {
+    return sao_pos[atom.var_ids[x]] < sao_pos[atom.var_ids[y]];
+  });
+  return cols;
+}
+
 std::vector<std::unique_ptr<Index>> MakeSaoConsistentIndexes(
     const JoinQuery& query, const std::vector<int>& sao, int depth) {
   std::vector<int> sao_pos(query.num_attrs());
   for (size_t i = 0; i < sao.size(); ++i) sao_pos[sao[i]] = static_cast<int>(i);
   std::vector<std::unique_ptr<Index>> owned;
   for (const Atom& a : query.atoms()) {
-    std::vector<int> cols(a.var_ids.size());
-    for (size_t c = 0; c < cols.size(); ++c) cols[c] = static_cast<int>(c);
-    std::sort(cols.begin(), cols.end(), [&](int x, int y) {
-      return sao_pos[a.var_ids[x]] < sao_pos[a.var_ids[y]];
-    });
-    owned.push_back(std::make_unique<SortedIndex>(*a.rel, cols, depth));
+    owned.push_back(std::make_unique<SortedIndex>(
+        *a.rel, SaoColumnOrder(a, sao_pos), depth));
   }
   return owned;
 }

@@ -91,13 +91,21 @@ JoinRunResult RunTetrisJoin(const JoinQuery& query,
                             int depth, JoinAlgorithm algo,
                             std::vector<int> sao = {});
 
-/// Owns a default index per atom (a SortedIndex in relation column order)
-/// and runs the join — the "it just works" entry point used by examples.
+/// Owns a default index per atom (a SortedIndex in relation column order,
+/// at query.MinDepth()) and runs the join: RunTetrisJoin with no index
+/// choices to make.
 JoinRunResult RunTetrisJoinDefaultIndexes(const JoinQuery& query,
                                           JoinAlgorithm algo);
 
+/// The trie column order an atom's index needs to be σ-consistent: the
+/// atom's columns sorted by their attributes' SAO positions
+/// (`sao_pos[attr]` = position of `attr` in the SAO).
+std::vector<int> SaoColumnOrder(const Atom& atom,
+                                const std::vector<int>& sao_pos);
+
 /// Builds one SortedIndex per atom whose column order follows `sao`
-/// (the σ-consistency precondition of Theorems D.2 / D.8 / 4.6).
+/// (SaoColumnOrder; the σ-consistency precondition of Theorems D.2 /
+/// D.8 / 4.6).
 std::vector<std::unique_ptr<Index>> MakeSaoConsistentIndexes(
     const JoinQuery& query, const std::vector<int>& sao, int depth);
 

@@ -11,6 +11,10 @@
 #include <unordered_set>
 #include <utility>
 
+#include "baseline/generic_join.h"
+#include "baseline/leapfrog.h"
+#include "baseline/pairwise_join.h"
+#include "baseline/yannakakis.h"
 #include "engine/index_cache.h"
 #include "index/index_view.h"
 #include "index/sorted_index.h"
@@ -133,10 +137,16 @@ void WorkStealingPool::Run(std::vector<std::function<void()>> tasks) {
 void ParallelFor(WorkStealingPool* pool, int max_parallel, int n,
                  const std::function<void(int)>& fn) {
   if (n <= 0) return;
-  WorkStealingPool& p = pool != nullptr ? *pool : WorkStealingPool::Global();
-  int w = max_parallel <= 0 ? p.threads()
-                            : std::min(max_parallel, p.threads());
-  w = std::min(w, n);
+  // Work that cannot spread runs inline without touching (or creating)
+  // the global pool.
+  WorkStealingPool* p = nullptr;
+  if (n > 1 && max_parallel != 1) {
+    p = pool != nullptr ? pool : &WorkStealingPool::Global();
+  }
+  const int w =
+      p == nullptr ? 1
+                   : std::min({max_parallel <= 0 ? p->threads() : max_parallel,
+                               p->threads(), n});
   if (w <= 1) {
     for (int i = 0; i < n; ++i) fn(i);
     return;
@@ -152,11 +162,7 @@ void ParallelFor(WorkStealingPool* pool, int max_parallel, int n,
       for (int i = next.fetch_add(1); i < n; i = next.fetch_add(1)) fn(i);
     });
   }
-  p.Run(std::move(tasks));
-}
-
-void ParallelFor(int threads, int n, const std::function<void(int)>& fn) {
-  ParallelFor(nullptr, threads, n, fn);
+  p->Run(std::move(tasks));
 }
 
 void AppendNote(std::string* note, const std::string& s) {
@@ -188,43 +194,26 @@ std::string PlanSignature(const JoinQuery& query, int depth) {
   });
 }
 
-// The index layout an atom wants under an order hint: the atom's
-// columns sorted by SAO position (join_runner's MakeSaoConsistentIndexes
-// derivation), normalized to the empty layout when that comes out as the
-// relation's own column order — so hinted and unhinted queries share the
-// default-layout entry.
+// The index layout an atom wants under an order hint: SaoColumnOrder
+// (the layout MakeSaoConsistentIndexes builds), normalized to the empty
+// layout when that comes out as the relation's own column order — so
+// hinted and unhinted queries share the default-layout entry.
 IndexLayout LayoutFor(const Atom& atom, const std::vector<int>& sao_pos,
                       int depth) {
   IndexLayout layout;
   layout.depth = depth;
   if (sao_pos.empty()) return layout;
-  std::vector<int> cols(atom.var_ids.size());
-  for (size_t c = 0; c < cols.size(); ++c) cols[c] = static_cast<int>(c);
-  std::sort(cols.begin(), cols.end(), [&](int x, int y) {
-    return sao_pos[atom.var_ids[x]] < sao_pos[atom.var_ids[y]];
-  });
-  bool identity = true;
+  std::vector<int> cols = SaoColumnOrder(atom, sao_pos);
   for (size_t c = 0; c < cols.size(); ++c) {
-    if (cols[c] != static_cast<int>(c)) identity = false;
+    if (cols[c] != static_cast<int>(c)) {
+      layout.columns = std::move(cols);
+      break;
+    }
   }
-  if (!identity) layout.columns = std::move(cols);
   return layout;
 }
 
-// Shared zero-copy state of one query's Tetris-family shards: base
-// indexes over the *original* relations (caller-built or from the index
-// cache), restricted per shard through IndexViews. Shards read the bases
-// concurrently under the Index const-probe contract.
-struct TetrisShardContext {
-  const JoinQuery* query = nullptr;
-  JoinAlgorithm algo = JoinAlgorithm::kTetrisPreloaded;
-  int depth = 0;
-  std::vector<int> order;
-  std::vector<const Index*> base;  // one per atom
-  size_t base_index_bytes = 0;
-};
-
-// One shard task's outcome, as the merge receives it. A Tetris view
+// One shard task's outcome, as the merge receives it. A Tetris-family
 // shard leaves its output rows in `rows`, flat and in the engine's
 // emission order, with `result.tuples` empty; the baselines fill
 // `result.tuples` and leave `rows` empty.
@@ -233,17 +222,37 @@ struct ShardOutcome {
   Relation rows{"output", {}};
 };
 
+// One runnable query's state through the pipeline. The Tetris family
+// reads base indexes over the *original* relations (caller-built or from
+// the index cache), restricted per shard through IndexViews; shards read
+// the bases concurrently under the Index const-probe contract.
+struct QueryRun {
+  size_t q = 0;  // position in the batch
+  const JoinQuery* query = nullptr;
+  std::vector<int> order;  // the hint, or a GAO derived from indexes
+  std::vector<const Index*> base;  // Tetris family: one per atom
+  size_t base_index_bytes = 0;
+  size_t plan = 0;                     // into the run's plans
+  std::vector<bool> selected;          // by shard id
+  std::vector<ShardOutcome> outcomes;  // by shard id
+  double task_ms = 0.0;                // summed task time
+  size_t abandoned = 0;                // tasks abandoned at the deadline
+};
+
 // One shard of a Tetris-family run: per-atom IndexViews confine every
 // probe and gap scan to the shard's box — no tuple is copied, no index
-// rebuilt — and are dropped when the shard finishes.
-ShardOutcome RunTetrisViewShard(const TetrisShardContext& ctx,
-                                const DyadicBox& shard_box,
-                                EngineKind kind) {
+// rebuilt — and are dropped when the shard finishes. (A single-shard
+// plan's views span the whole space. Probing the bases directly there
+// measured no faster, and it shifted glibc's dynamic mmap threshold so
+// that batch_mixed's peak RSS rose from 36 to 43 MB on most runs.)
+ShardOutcome RunTetrisShard(const QueryRun& run, JoinAlgorithm algo,
+                            int depth, const ShardPlan& plan, int shard_id,
+                            EngineKind kind) {
+  const DyadicBox& shard_box = plan.shards[shard_id].box;
   ShardOutcome outcome;
   EngineResult& result = outcome.result;
   result.stats.engine = kind;
-  const auto start = std::chrono::steady_clock::now();
-  const std::vector<Atom>& atoms = ctx.query->atoms();
+  const std::vector<Atom>& atoms = run.query->atoms();
   std::vector<IndexView> views;
   views.reserve(atoms.size());
   for (size_t a = 0; a < atoms.size(); ++a) {
@@ -253,42 +262,149 @@ ShardOutcome RunTetrisViewShard(const TetrisShardContext& ctx,
     for (size_t c = 0; c < atom.var_ids.size(); ++c) {
       abox[static_cast<int>(c)] = shard_box[atom.var_ids[c]];
     }
-    views.emplace_back(ctx.base[a], abox);
+    views.emplace_back(run.base[a], abox);
   }
   std::vector<const Index*> ptrs;
   ptrs.reserve(views.size());
   for (const IndexView& v : views) ptrs.push_back(&v);
-  JoinRunResult run =
-      RunTetrisJoin(*ctx.query, ptrs, ctx.depth, ctx.algo, ctx.order);
+  JoinRunResult joined =
+      RunTetrisJoin(*run.query, ptrs, depth, algo, run.order);
   // Left flat and in the engine's emission order: MergeShardRuns sorts
   // the concatenation of all shards once.
-  outcome.rows = std::move(run.output);
-  result.stats.tetris = run.stats;
-  result.stats.input_gap_boxes = run.input_gap_boxes;
-  result.stats.oracle_probes = run.oracle_probes;
-  result.stats.memory.kb_bytes = static_cast<size_t>(run.stats.kb_peak_bytes);
-  result.stats.memory.index_bytes = run.index_bytes;  // views: a few words
+  outcome.rows = std::move(joined.output);
+  result.stats.tetris = joined.stats;
+  result.stats.input_gap_boxes = joined.input_gap_boxes;
+  result.stats.oracle_probes = joined.oracle_probes;
+  result.stats.memory.kb_bytes =
+      static_cast<size_t>(joined.stats.kb_peak_bytes);
+  // The shard's own probe structures: its views, a few words each. A
+  // single-shard plan's views restrict nothing, so a plain run reports
+  // just the shared bases, which the merge counts once.
+  result.stats.memory.index_bytes =
+      plan.split_bits > 0 ? joined.index_bytes : 0;
   result.stats.output_tuples = outcome.rows.size();
   result.stats.memory.output_bytes =
-      EstimateAtomBytes(outcome.rows.size(), ctx.query->num_attrs());
+      EstimateAtomBytes(outcome.rows.size(), run.query->num_attrs());
   result.ok = true;
-  result.stats.wall_ms = MsSince(start);
   return outcome;
 }
 
-// The baselines' lazy path: the restricted copy exists only inside this
-// call — materialized when the worker picks the shard up, dropped when
-// it finishes — so at most `threads` shard copies are resident at once
+// Derives the GAO Leapfrog / Generic Join should run under from the
+// column orders of per-atom SortedIndexes: each index's trie order
+// constrains its atom's attributes to appear in that relative order, and
+// the GAO is any topological order of the union of those constraints
+// (smallest attribute id first on ties, so the result is deterministic).
+bool DeriveGaoFromIndexes(const JoinQuery& query,
+                          const std::vector<const Index*>& indexes,
+                          std::vector<int>* gao, std::string* error) {
+  const int n = query.num_attrs();
+  std::vector<std::vector<int>> succ(n);
+  std::vector<int> indeg(n, 0);
+  for (size_t i = 0; i < indexes.size(); ++i) {
+    const auto* si = dynamic_cast<const SortedIndex*>(indexes[i]);
+    if (si == nullptr) {
+      *error = "indexes: leapfrog / generic-join derive their trie order "
+               "from SortedIndexes only";
+      return false;
+    }
+    const Atom& atom = query.atoms()[i];
+    if (si->arity() != static_cast<int>(atom.var_ids.size())) {
+      *error = "indexes: index arity disagrees with its atom";
+      return false;
+    }
+    const std::vector<int>& order = si->order();
+    for (size_t l = 0; l + 1 < order.size(); ++l) {
+      const int u = atom.var_ids[order[l]];
+      const int v = atom.var_ids[order[l + 1]];
+      if (u == v) continue;  // atom repeats an attribute
+      succ[u].push_back(v);
+      ++indeg[v];
+    }
+  }
+  gao->clear();
+  std::vector<bool> placed(n, false);
+  for (int step = 0; step < n; ++step) {
+    int pick = -1;
+    for (int v = 0; v < n; ++v) {
+      if (!placed[v] && indeg[v] == 0) {
+        pick = v;
+        break;
+      }
+    }
+    if (pick < 0) {
+      *error = "indexes: the SortedIndex column orders conflict "
+               "(no attribute order is consistent with every trie)";
+      return false;
+    }
+    placed[pick] = true;
+    gao->push_back(pick);
+    for (int w : succ[pick]) --indeg[w];
+  }
+  return true;
+}
+
+// The baselines' one entry: evaluates `query` with `kind` under the GAO
+// hint `gao` (Leapfrog / Generic Join only). The tuples are left for the
+// merge to canonicalize.
+EngineResult RunBaseline(const JoinQuery& query, EngineKind kind,
+                         const std::vector<int>& gao) {
+  EngineResult result;
+  result.stats.engine = kind;
+  switch (kind) {
+    case EngineKind::kLeapfrog:
+      result.tuples = LeapfrogTriejoin(query, gao, &result.stats.seeks);
+      break;
+    case EngineKind::kGenericJoin:
+      result.tuples = GenericJoin(query, gao, &result.stats.probes);
+      break;
+    case EngineKind::kYannakakis: {
+      auto out = YannakakisJoin(query, &result.stats.baseline);
+      if (!out.has_value()) {
+        result.error = EngineSupportError(kind, query);
+        return result;
+      }
+      result.tuples = std::move(*out);
+      break;
+    }
+    case EngineKind::kPairwiseHash:
+      result.tuples = PairwiseJoinPlan(query, PairwiseMethod::kHash,
+                                       &result.stats.baseline);
+      break;
+    case EngineKind::kPairwiseSortMerge:
+      result.tuples = PairwiseJoinPlan(query, PairwiseMethod::kSortMerge,
+                                       &result.stats.baseline);
+      break;
+    case EngineKind::kPairwiseNestedLoop:
+      result.tuples = PairwiseJoinPlan(query, PairwiseMethod::kNestedLoop,
+                                       &result.stats.baseline);
+      break;
+    default:
+      result.error = "not a baseline engine";
+      return result;
+  }
+  result.ok = true;
+  result.stats.output_tuples = result.tuples.size();
+  result.stats.memory.intermediate_bytes =
+      result.stats.baseline.max_intermediate_bytes;
+  result.stats.memory.output_bytes =
+      ResultOutputBytes(result.tuples.size(), query.num_attrs());
+  return result;
+}
+
+// One shard of a baseline run. A single-shard plan scans the original
+// relations; otherwise the restricted copy exists only inside this call
+// — materialized when the worker picks the shard up, dropped when it
+// finishes — so at most `threads` shard copies are resident at once
 // instead of all 2^k.
-EngineResult RunMaterializedShard(const JoinQuery& query,
-                                  const ShardPlan& plan, int shard_id,
-                                  EngineKind kind,
-                                  const EngineOptions& shard_opts) {
+EngineResult RunBaselineShard(const JoinQuery& query, const ShardPlan& plan,
+                              int shard_id, EngineKind kind,
+                              const std::vector<int>& gao) {
+  if (plan.split_bits == 0) return RunBaseline(query, kind, gao);
   MaterializedShard ms = MaterializeShard(query, plan, shard_id);
-  EngineResult r = RunJoin(ms.query, kind, shard_opts);
+  EngineResult r = RunBaseline(ms.query, kind, gao);
   // The materialized copy is this shard's resident input structure for
   // the whole run — count it, or the budget check would certify shards
-  // whose input copy alone dwarfs the budget. (Unsharded baseline runs
+  // whose input copy alone dwarfs the budget. (Single-shard baseline runs
   // scan the caller's relations and rightly report 0 here.)
   r.stats.memory.index_bytes = std::max(
       r.stats.memory.index_bytes, plan.shards[shard_id].payload_bytes);
@@ -366,6 +482,9 @@ EngineResult MergeShardRuns(const JoinQuery& query, EngineKind kind,
       result.shard_runs.clear();
       return result;
     }
+    // Copied, not moved, even from a lone shard: handing a worker's
+    // buffer to the result raised the peak RSS of a RunBatch loop over
+    // MixedShapeBatch(8, 600, 8) from 36 to 43 MB.
     rows.Append(shard_results[i].rows);
     result.tuples.insert(result.tuples.end(),
                          std::make_move_iterator(r.tuples.begin()),
@@ -397,7 +516,7 @@ EngineResult MergeShardRuns(const JoinQuery& query, EngineKind kind,
   }
 
   // Shards are disjoint subcubes, so concatenation has no duplicates,
-  // but sorting restores the canonical facade order (Tetris view shards
+  // but sorting restores the canonical facade order (Tetris shards
   // arrive unsorted, in the engine's SAO emission order).
   if (rows.size() > 0) {
     rows.Canonicalize();
@@ -407,11 +526,8 @@ EngineResult MergeShardRuns(const JoinQuery& query, EngineKind kind,
   }
   result.ok = true;
   result.stats.output_tuples = result.tuples.size();
-  result.stats.memory.intermediate_bytes =
-      std::max(result.stats.memory.intermediate_bytes,
-               result.stats.baseline.max_intermediate_bytes);
   result.stats.memory.output_bytes =
-      EstimateAtomBytes(result.tuples.size(), query.num_attrs());
+      ResultOutputBytes(result.tuples.size(), query.num_attrs());
   return result;
 }
 
@@ -439,25 +555,28 @@ BatchResult RunShardPipeline(const std::vector<ShardQuery>& queries,
   batch.stats.queries = n;
   for (EngineResult& r : batch.results) r.stats.engine = kind;
 
-  // Per-query support and order-hint checks, with RunJoin's wording: a
-  // query the engine cannot run fails alone; the rest of the batch runs.
-  std::vector<EngineOptions> shard_opts(n);
-  std::vector<size_t> live;  // runnable queries, in input order
+  // Per-query support and order-hint checks: a query the engine cannot
+  // run fails alone; the rest of the batch runs. Without a hint,
+  // caller-built SortedIndexes supply Leapfrog's and Generic Join's trie
+  // order, so index ablations reach the WCOJ baselines too.
+  std::vector<QueryRun> runs;  // runnable queries, in input order
   for (size_t q = 0; q < n; ++q) {
-    const JoinQuery& query = *queries[q].query;
-    EngineResult& r = batch.results[q];
-    if (!EngineSupports(kind, query)) {
-      r.error = std::string(EngineKindName(kind)) +
-                ": engine does not support this query";
-      continue;
+    QueryRun run;
+    run.q = q;
+    run.query = queries[q].query;
+    if (!options.orders.empty()) run.order = options.orders[q];
+    std::string& error = batch.results[q].error;
+    error = EngineSupportError(kind, *run.query);
+    if (error.empty()) {
+      error = OrderHintError(kind, run.order, run.query->num_attrs());
     }
-    if (!options.orders.empty()) shard_opts[q].order = options.orders[q];
-    r.error = OrderHintError(kind, shard_opts[q].order, query.num_attrs());
-    if (!r.error.empty()) continue;
-    shard_opts[q].depth = depth;
-    live.push_back(q);
+    if (error.empty() && run.order.empty() && !queries[q].indexes.empty() &&
+        (kind == EngineKind::kLeapfrog || kind == EngineKind::kGenericJoin)) {
+      DeriveGaoFromIndexes(*run.query, queries[q].indexes, &run.order, &error);
+    }
+    if (error.empty()) runs.push_back(std::move(run));
   }
-  if (live.empty()) return batch;
+  if (runs.empty()) return batch;
 
   // Base indexes for the Tetris family (the baselines scan relations):
   // caller-built ones pass through; the rest come from the (relation,
@@ -469,36 +588,29 @@ BatchResult RunShardPipeline(const std::vector<ShardQuery>& queries,
       options.index_cache != nullptr ? *options.index_cache : local_cache;
   std::vector<std::shared_ptr<const SortedIndex>> pinned;  // keep alive
   std::unordered_set<const Index*> counted;
-  std::vector<TetrisShardContext> contexts(n);
   if (algo.has_value()) {
-    for (size_t q : live) {
-      const JoinQuery& query = *queries[q].query;
-      TetrisShardContext& ctx = contexts[q];
-      ctx.query = &query;
-      ctx.algo = *algo;
-      ctx.depth = depth;
-      ctx.order = shard_opts[q].order;
-      ctx.base = queries[q].indexes;
-      if (ctx.base.empty()) {
+    for (QueryRun& run : runs) {
+      run.base = queries[run.q].indexes;
+      if (run.base.empty()) {
         std::vector<int> sao_pos;
-        if (!ctx.order.empty()) {
-          sao_pos.resize(query.num_attrs());
-          for (size_t i = 0; i < ctx.order.size(); ++i) {
-            sao_pos[ctx.order[i]] = static_cast<int>(i);
+        if (!run.order.empty()) {
+          sao_pos.resize(run.query->num_attrs());
+          for (size_t i = 0; i < run.order.size(); ++i) {
+            sao_pos[run.order[i]] = static_cast<int>(i);
           }
         }
-        for (const Atom& atom : query.atoms()) {
+        for (const Atom& atom : run.query->atoms()) {
           bool built = false;
           std::shared_ptr<const SortedIndex> ix =
               cache.Get(atom.rel, LayoutFor(atom, sao_pos, depth), &built);
           if (built) ++batch.stats.indexes_built;
           else ++batch.stats.index_cache_hits;
-          ctx.base.push_back(ix.get());
+          run.base.push_back(ix.get());
           pinned.push_back(std::move(ix));
         }
       }
-      for (const Index* ix : ctx.base) {
-        ctx.base_index_bytes += ix->MemoryBytes();
+      for (const Index* ix : run.base) {
+        run.base_index_bytes += ix->MemoryBytes();
         if (counted.insert(ix).second) {
           batch.stats.index_bytes += ix->MemoryBytes();
         }
@@ -513,29 +625,32 @@ BatchResult RunShardPipeline(const std::vector<ShardQuery>& queries,
   // the whole batch has at least one task per worker; with many queries,
   // query-level parallelism already covers the machine and plans stay
   // single-shard. The budget estimate is the deterministic payload sum.
-  WorkStealingPool& pool = options.executor != nullptr
-                               ? *options.executor
-                               : WorkStealingPool::Global();
+  // A sequential run never touches the pool (nor creates the global one).
+  WorkStealingPool* pool = options.executor;
+  if (pool == nullptr && options.threads != 1) {
+    pool = &WorkStealingPool::Global();
+  }
+  const int width = pool != nullptr ? pool->threads() : 1;
   const int requested =
-      options.threads == 0 ? pool.threads() : std::max(1, options.threads);
+      options.threads == 0 ? width : std::max(1, options.threads);
   ShardPlanOptions popt;
   popt.shards = options.shards;
   popt.threads_hint = static_cast<int>(
-      (static_cast<size_t>(requested) + live.size() - 1) / live.size());
+      (static_cast<size_t>(requested) + runs.size() - 1) / runs.size());
   popt.memory_budget_bytes = budget;
   popt.depth = depth;
   std::vector<ShardPlan> plans;
   std::map<std::string, size_t> plan_of_signature;
-  std::vector<size_t> query_plan(n, 0);
-  for (size_t q : live) {
-    const JoinQuery& query = *queries[q].query;
-    auto [it, fresh] =
-        plan_of_signature.emplace(PlanSignature(query, depth), plans.size());
+  for (QueryRun& run : runs) {
+    // A lone query has no plan to share.
+    auto [it, fresh] = plan_of_signature.emplace(
+        runs.size() > 1 ? PlanSignature(*run.query, depth) : "",
+        plans.size());
     if (fresh) {
-      plans.push_back(PlanShards(query, popt));
+      plans.push_back(PlanShards(*run.query, popt));
       batch.stats.plan_bytes += plans.back().PlanningBytes();
     }
-    query_plan[q] = it->second;
+    run.plan = it->second;
   }
   batch.stats.plans = plans.size();
 
@@ -543,21 +658,19 @@ BatchResult RunShardPipeline(const std::vector<ShardQuery>& queries,
   // executor task — no per-query barrier anywhere, so a skewed shard of
   // one query overlaps with the shards of the others.
   struct TaskRef {
-    size_t q = 0;
+    QueryRun* run = nullptr;
     int shard = 0;
   };
   std::vector<TaskRef> tasks;
-  std::vector<std::vector<ShardOutcome>> shard_results(n);
-  std::vector<std::vector<bool>> selected(n);
-  for (size_t q : live) {
-    const ShardPlan& plan = plans[query_plan[q]];
-    shard_results[q].resize(plan.shards.size());
-    selected[q].assign(plan.shards.size(), true);
+  for (QueryRun& run : runs) {
+    const ShardPlan& plan = plans[run.plan];
+    run.outcomes.resize(plan.shards.size());
+    run.selected.assign(plan.shards.size(), true);
     for (const Shard& shard : plan.shards) {
-      if (queries[q].filter && !queries[q].filter(shard.box)) {
-        selected[q][shard.id] = false;
+      if (queries[run.q].filter && !queries[run.q].filter(shard.box)) {
+        run.selected[shard.id] = false;
       } else if (!shard.empty) {
-        tasks.push_back({q, shard.id});
+        tasks.push_back({&run, shard.id});
       }
     }
   }
@@ -567,32 +680,29 @@ BatchResult RunShardPipeline(const std::vector<ShardQuery>& queries,
   // unstarted task is abandoned and fails its query; a running one
   // completes.
   const int workers = std::max(
-      1, std::min({requested, pool.threads(), static_cast<int>(tasks.size())}));
+      1, std::min({requested, width, static_cast<int>(tasks.size())}));
   batch.stats.threads = static_cast<size_t>(workers);
   const bool has_deadline =
       options.deadline != std::chrono::steady_clock::time_point{};
   const auto exec_start = std::chrono::steady_clock::now();
-  ParallelFor(&pool, workers, static_cast<int>(tasks.size()), [&](int t) {
+  ParallelFor(pool, workers, static_cast<int>(tasks.size()), [&](int t) {
     const TaskRef& task = tasks[static_cast<size_t>(t)];
-    const JoinQuery& query = *queries[task.q].query;
-    const ShardPlan& plan = plans[query_plan[task.q]];
-    ShardOutcome& slot = shard_results[task.q][task.shard];
-    if (has_deadline &&
-        std::chrono::steady_clock::now() >= options.deadline) {
+    const QueryRun& run = *task.run;
+    const ShardPlan& plan = plans[run.plan];
+    ShardOutcome& slot = task.run->outcomes[task.shard];
+    const auto start = std::chrono::steady_clock::now();
+    if (has_deadline && start >= options.deadline) {
       slot.result.stats.engine = kind;
       slot.result.error = kDeadlineError;
-    } else if (algo.has_value()) {
-      slot = RunTetrisViewShard(contexts[task.q], plan.shards[task.shard].box,
-                                kind);
-    } else if (plan.split_bits == 0) {
-      // A single-shard plan covers the whole output space: scan the
-      // original relations instead of materializing a copy equal to
-      // them.
-      slot.result = RunJoin(query, kind, shard_opts[task.q]);
-    } else {
-      slot.result = RunMaterializedShard(query, plan, task.shard, kind,
-                                         shard_opts[task.q]);
+      return;
     }
+    if (algo.has_value()) {
+      slot = RunTetrisShard(run, *algo, depth, plan, task.shard, kind);
+    } else {
+      slot.result =
+          RunBaselineShard(*run.query, plan, task.shard, kind, run.order);
+    }
+    slot.result.stats.wall_ms = MsSince(start);
   });
   const double exec_ms = MsSince(exec_start);
 
@@ -602,37 +712,34 @@ BatchResult RunShardPipeline(const std::vector<ShardQuery>& queries,
   // the batch's occupancy (stats.cpu_ms), and each query is attributed
   // the execution wall split by its share of that occupancy — attributed
   // times compare, and their sum never exceeds the batch wall.
-  std::vector<double> task_ms(n, 0.0);
-  std::vector<size_t> abandoned(n, 0);
-  for (size_t q : live) {
-    for (const ShardOutcome& o : shard_results[q]) {
+  for (QueryRun& run : runs) {
+    for (const ShardOutcome& o : run.outcomes) {
       const EngineResult& r = o.result;
-      if (!r.ok && r.error == kDeadlineError) ++abandoned[q];
-      else task_ms[q] += r.stats.wall_ms;
+      if (!r.ok && r.error == kDeadlineError) ++run.abandoned;
+      else run.task_ms += r.stats.wall_ms;
     }
-    batch.stats.cpu_ms += task_ms[q];
+    batch.stats.cpu_ms += run.task_ms;
   }
 
   // Merge, deterministically per query in input order.
   size_t deadline_failures = 0;
-  for (size_t q : live) {
-    EngineResult& out = batch.results[q];
-    if (abandoned[q] > 0) {
-      out.error = "deadline exceeded: " + std::to_string(abandoned[q]) +
-                  " of " + std::to_string(shard_results[q].size()) +
+  for (QueryRun& run : runs) {
+    EngineResult& out = batch.results[run.q];
+    if (run.abandoned > 0) {
+      out.error = "deadline exceeded: " + std::to_string(run.abandoned) +
+                  " of " + std::to_string(run.outcomes.size()) +
                   " shard tasks abandoned";
       ++deadline_failures;
       continue;
     }
-    const ShardPlan& plan = plans[query_plan[q]];
-    const TetrisShardContext& ctx = contexts[q];
+    const ShardPlan& plan = plans[run.plan];
     const double attributed_ms =
         batch.stats.cpu_ms > 0.0
-            ? exec_ms * (task_ms[q] / batch.stats.cpu_ms)
-            : exec_ms / static_cast<double>(live.size());
-    out = MergeShardRuns(*queries[q].query, kind, plan, selected[q],
-                         std::move(shard_results[q]), budget,
-                         ctx.base_index_bytes);
+            ? exec_ms * (run.task_ms / batch.stats.cpu_ms)
+            : exec_ms / static_cast<double>(runs.size());
+    out = MergeShardRuns(*run.query, kind, plan, run.selected,
+                         std::move(run.outcomes), budget,
+                         run.base_index_bytes);
     out.stats.threads = batch.stats.threads;
     out.stats.wall_ms = attributed_ms;
     batch.stats.sum_query_ms += attributed_ms;
@@ -640,10 +747,10 @@ BatchResult RunShardPipeline(const std::vector<ShardQuery>& queries,
     // how fine the split — a budget below them is unsatisfiable by
     // sharding, and pretending per-shard peaks settle it would be lying.
     std::string note;
-    if (budget > 0 && ctx.base_index_bytes > budget) {
+    if (budget > 0 && run.base_index_bytes > budget) {
       note = "budget " + std::to_string(budget) +
              "B is below the shared base indexes (" +
-             std::to_string(ctx.base_index_bytes) +
+             std::to_string(run.base_index_bytes) +
              "B), which stay resident for the whole run regardless of the "
              "split — the budget can only constrain per-shard peaks on top "
              "of them";
@@ -666,8 +773,8 @@ BatchResult RunShardPipeline(const std::vector<ShardQuery>& queries,
       std::to_string(batch.stats.plans) + " plan" +
       (batch.stats.plans == 1 ? "" : "s") + " and " +
       std::to_string(batch.stats.indexes_built) +
-      " base index builds served " + std::to_string(live.size()) +
-      (live.size() == 1 ? " query" : " queries");
+      " base index builds served " + std::to_string(runs.size()) +
+      (runs.size() == 1 ? " query" : " queries");
   if (batch.stats.index_cache_hits > 0) {
     serve_note += " (" + std::to_string(batch.stats.index_cache_hits) +
                   " index cache hits)";

@@ -1,6 +1,6 @@
 // Parallel execution of independent join work: a work-stealing thread
 // pool with nested task groups, plus the one shard pipeline behind
-// RunJoin's sharded path, RunBatch and PatchJoin.
+// RunJoin, RunBatch and PatchJoin.
 //
 // The pool of record is the *process-global executor* (Global()): created
 // on first use, sized once to the hardware, threads alive until process
@@ -25,10 +25,13 @@
 // the sequential unsharded run. The Tetris family reads base indexes
 // through zero-copy IndexViews restricted to the shard box
 // (index/index_view.h); the baselines materialize their shard lazily
-// inside the worker task and drop it when the shard finishes. Its three
-// callers are thin:
+// inside the worker task and drop it when the shard finishes, except
+// that a single-shard plan covers the whole output space and scans the
+// caller's relations. The pipeline is the only place engines are
+// dispatched; its three callers are thin:
 //
-//   * RunJoin's sharded path is a batch of one;
+//   * RunJoin is a batch of one — a plain run is a single-shard plan
+//     run inline on the calling thread;
 //   * RunBatch (engine/batch_runner.h) is the general case;
 //   * PatchJoin (engine/incremental.h) is a batch of one whose filter
 //     keeps the shards a delta touches, followed by its splice.
@@ -115,14 +118,11 @@ class WorkStealingPool {
 /// at most max_parallel of its workers (<= 0 = the pool's full width;
 /// always clamped to the pool width — the shared thread budget). Blocks
 /// until all complete; n <= 1 or an effective width of 1 runs inline on
-/// the calling thread. Results belong in caller-owned slots indexed by
-/// i, which keeps the outcome deterministic regardless of scheduling.
+/// the calling thread (max_parallel == 1 never touches the pool). Results
+/// belong in caller-owned slots indexed by i, which keeps the outcome
+/// deterministic regardless of scheduling.
 void ParallelFor(WorkStealingPool* pool, int max_parallel, int n,
                  const std::function<void(int)>& fn);
-
-/// Back-compat shim on the global executor: threads = 0 means the pool's
-/// full width.
-void ParallelFor(int threads, int n, const std::function<void(int)>& fn);
 
 /// Appends `s` to `*note` with "; " separation; no-op when `s` is empty.
 void AppendNote(std::string* note, const std::string& s);
@@ -130,8 +130,10 @@ void AppendNote(std::string* note, const std::string& s);
 /// One query of a shard-pipeline run.
 struct ShardQuery {
   const JoinQuery* query = nullptr;
-  /// Caller-built per-atom base indexes (EngineOptions::indexes), used
-  /// by the Tetris family only; empty = take them from the index cache.
+  /// Caller-built per-atom base indexes (EngineOptions::indexes): the
+  /// Tetris family probes them (empty = take them from the index cache);
+  /// without an order hint, Leapfrog and Generic Join derive their trie
+  /// order from them. The other baselines ignore them.
   std::vector<const Index*> indexes;
   /// Shard filter: when set, only the plan shards whose box it accepts
   /// run and reach the merged result (and its shard_runs). Called once
@@ -149,8 +151,9 @@ BatchOptions OneQueryBatch(const EngineOptions& options, int depth);
 /// query of the batch with `kind`. `options` carries RunBatch's knobs,
 /// already validated, with `depth` resolved to a grid every query fits.
 /// Per-query failures — an engine that cannot run the query, a bad
-/// order hint, a failed shard, tasks abandoned at the deadline — land
-/// in that query's result; the batch itself always succeeds. Results
+/// order hint, conflicting index trie orders, a failed shard, tasks
+/// abandoned at the deadline — land in that query's result; the batch
+/// itself always succeeds. Results
 /// carry RunBatch's contract (attributed wall_ms, planner / budget /
 /// estimator notes in shard_note); stats.relations and stats.wall_ms
 /// are left to the caller.

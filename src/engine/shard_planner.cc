@@ -103,9 +103,12 @@ ShardPlan::AtomBuckets BucketAtomTuples(const Atom& atom,
   return out;
 }
 
+// A single-shard plan (no split dimensions) buckets nothing: its one
+// shard is every row of every atom.
 std::vector<ShardPlan::AtomBuckets> BucketAllAtoms(
     const JoinQuery& query, const std::vector<int>& dims, int depth) {
   std::vector<ShardPlan::AtomBuckets> buckets;
+  if (dims.empty()) return buckets;
   buckets.reserve(query.atoms().size());
   for (const Atom& atom : query.atoms()) {
     buckets.push_back(BucketAtomTuples(atom, dims, depth));
@@ -113,9 +116,13 @@ std::vector<ShardPlan::AtomBuckets> BucketAllAtoms(
   return buckets;
 }
 
-size_t BucketCount(const ShardPlan::AtomBuckets& b, int id) {
-  auto it = b.rows.find(id & b.id_mask);
-  return it == b.rows.end() ? 0 : it->second.size();
+// Rows of atom `a` in shard `id`.
+size_t RowCount(const JoinQuery& query,
+                const std::vector<ShardPlan::AtomBuckets>& buckets, size_t a,
+                int id) {
+  if (buckets.empty()) return query.atoms()[a].rel->size();
+  auto it = buckets[a].rows.find(id & buckets[a].id_mask);
+  return it == buckets[a].rows.end() ? 0 : it->second.size();
 }
 
 // Restricted input payload of shard `id`: the SUM over atoms of the
@@ -125,9 +132,9 @@ size_t ShardPayload(const JoinQuery& query,
                     const std::vector<ShardPlan::AtomBuckets>& buckets,
                     int id) {
   size_t payload = 0;
-  for (size_t a = 0; a < buckets.size(); ++a) {
+  for (size_t a = 0; a < query.atoms().size(); ++a) {
     payload += EstimateAtomBytes(
-        BucketCount(buckets[a], id),
+        RowCount(query, buckets, a, id),
         static_cast<int>(query.atoms()[a].var_ids.size()));
   }
   return payload;
@@ -170,6 +177,7 @@ size_t EstimateAtomBytes(size_t tuples, int arity) {
 
 const std::vector<size_t>* ShardPlan::AtomRows(int shard_id,
                                                size_t atom) const {
+  if (buckets.empty()) return nullptr;
   const AtomBuckets& b = buckets[atom];
   auto it = b.rows.find(shard_id & b.id_mask);
   return it == b.rows.end() ? nullptr : &it->second;
@@ -259,8 +267,8 @@ ShardPlan PlanShards(const JoinQuery& query, const ShardPlanOptions& options) {
     Shard shard;
     shard.id = id;
     shard.box = ShardBox(n, plan.split_dims, id);
-    for (size_t a = 0; a < plan.buckets.size(); ++a) {
-      const size_t count = BucketCount(plan.buckets[a], id);
+    for (size_t a = 0; a < query.atoms().size(); ++a) {
+      const size_t count = RowCount(query, plan.buckets, a, id);
       if (count == 0) shard.empty = true;
       shard.payload_bytes += EstimateAtomBytes(
           count, static_cast<int>(query.atoms()[a].var_ids.size()));
@@ -282,9 +290,9 @@ MaterializedShard MaterializeShard(const JoinQuery& query,
     const Atom& atom = query.atoms()[a];
     const std::vector<size_t>* rows = plan.AtomRows(shard_id, a);
     auto rel = std::make_unique<Relation>(
-        rows == nullptr
-            ? Relation(atom.rel->name(), atom.rel->attrs())
-            : RelationView(atom.rel, rows).Materialize());
+        plan.buckets.empty() ? *atom.rel
+        : rows == nullptr    ? Relation(atom.rel->name(), atom.rel->attrs())
+                             : RelationView(atom.rel, rows).Materialize());
     ptrs.push_back(rel.get());
     out.storage.push_back(std::move(rel));
   }

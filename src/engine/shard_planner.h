@@ -19,7 +19,8 @@
 //
 // The plan is *lazy*: it never copies tuples. Each atom's rows are
 // bucketed once by their shard-id bits (8 bytes per row, independent of
-// the shard count), and a Shard is just a subcube plus bookkeeping.
+// the shard count), and a Shard is just a subcube plus bookkeeping. A
+// single-shard plan buckets nothing: its shard is the whole input.
 // Consumers either restrict probes to the subcube directly
 // (index/index_view.h — the zero-copy path the Tetris family uses) or
 // call MaterializeShard inside the worker task and drop the copy when
@@ -109,11 +110,13 @@ struct ShardPlan {
   /// Human-readable planner diagnostics: budget misses, clamped shard
   /// counts. Empty when the plan is exactly what was asked for.
   std::string note;
-  /// Per-atom row buckets, shared across shards.
+  /// Per-atom row buckets, shared across shards. Empty for a
+  /// single-shard plan, whose one shard holds every row.
   std::vector<AtomBuckets> buckets;
 
   /// Rows of atom `atom` restricted to shard `shard_id`, as indices into
-  /// the base relation; nullptr when the restriction is empty.
+  /// the base relation; nullptr when the restriction is empty or the
+  /// plan keeps no buckets (a single-shard plan: every row).
   const std::vector<size_t>* AtomRows(int shard_id, size_t atom) const;
 
   /// Bytes the plan keeps resident: the row buckets (the shards

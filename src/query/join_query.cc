@@ -40,9 +40,13 @@ Hypergraph JoinQuery::ToHypergraph() const {
 }
 
 int JoinQuery::MinDepth() const {
-  uint64_t max_val = 0;
-  for (const Atom& a : atoms_) max_val = std::max(max_val, a.rel->MaxValue());
-  return std::max(1, BitsFor(max_val + 1));
+  // The largest value has the bit width of the OR of all values, and an
+  // OR over the flat rows vectorizes where a running max does not.
+  uint64_t all_bits = 0;
+  for (const Atom& a : atoms_) {
+    for (uint64_t v : a.rel->raw()) all_bits |= v;
+  }
+  return std::max(1, BitsFor(all_bits + 1));
 }
 
 std::vector<int> JoinQuery::AcyclicSao() const {

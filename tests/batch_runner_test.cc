@@ -162,7 +162,10 @@ TEST(BatchRunnerTest, UnsupportedQueriesFailPerQueryNotPerBatch) {
     const bool acyclic = inst.queries[i].ToHypergraph().IsAlphaAcyclic();
     EXPECT_EQ(batch.results[i].ok, acyclic) << "query " << i;
     if (!acyclic) {
-      EXPECT_NE(batch.results[i].error.find("does not support"),
+      EXPECT_EQ(batch.results[i].error, EngineSupportError(
+                                            EngineKind::kYannakakis,
+                                            inst.queries[i]));
+      EXPECT_NE(batch.results[i].error.find("not alpha-acyclic"),
                 std::string::npos);
     }
   }

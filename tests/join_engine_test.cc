@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -383,6 +384,78 @@ TEST(JoinEngineTest, WcojEnginesRejectNonSortedIndexes) {
   // The Tetris family still accepts any Index implementation.
   EngineResult tetris = RunJoin(q.query, EngineKind::kTetrisReloaded, opt);
   EXPECT_TRUE(tetris.ok) << tetris.error;
+}
+
+// Plain and sharded runs share one option check: a depth below the data
+// is rejected on every engine, not only on the grid-based Tetris family.
+TEST(JoinEngineTest, EveryEngineRejectsADepthBelowTheData) {
+  QueryInstance q = RandomPath(/*hops=*/3, /*tuples_per_rel=*/30, /*d=*/4,
+                               /*seed=*/8);
+  ASSERT_GT(q.query.MinDepth(), 1);
+  EngineOptions shallow;
+  shallow.depth = q.query.MinDepth() - 1;
+  for (EngineKind kind : AllEngineKinds()) {
+    SCOPED_TRACE(EngineKindName(kind));
+    const EngineResult r = RunJoin(q.query, kind, shallow);
+    EXPECT_FALSE(r.ok);
+    EXPECT_NE(r.error.find("depth: too small"), std::string::npos) << r.error;
+  }
+}
+
+// A plain run is a single-shard plan run inline, and it must still read
+// as a plain run: no sharded-run fields, and for the Tetris family the
+// very counters a direct RunTetrisJoin over the default SortedIndexes
+// reports.
+TEST(JoinEngineTest, PlainRunsReportAsPlainRuns) {
+  std::vector<QueryInstance> workloads;
+  workloads.push_back(RandomTriangle(/*tuples_per_rel=*/40, /*d=*/4,
+                                     /*seed=*/5));
+  workloads.push_back(RandomPath(/*hops=*/3, /*tuples_per_rel=*/40, /*d=*/4,
+                                 /*seed=*/5));
+  for (const QueryInstance& q : workloads) {
+    const int depth = q.query.MinDepth();
+    std::vector<std::unique_ptr<Index>> owned;
+    for (const Atom& a : q.query.atoms()) {
+      owned.push_back(std::make_unique<SortedIndex>(*a.rel, depth));
+    }
+    for (EngineKind kind : AllEngineKinds()) {
+      SCOPED_TRACE(EngineKindName(kind));
+      const EngineResult r = RunJoin(q.query, kind);
+      if (!EngineSupports(kind, q.query)) {
+        EXPECT_FALSE(r.ok);
+        continue;
+      }
+      ASSERT_TRUE(r.ok) << r.error;
+      EXPECT_EQ(r.stats.shards, 0u);
+      EXPECT_EQ(r.stats.threads, 0u);
+      EXPECT_EQ(r.stats.max_shard_peak_bytes, 0u);
+      EXPECT_EQ(r.stats.estimated_max_shard_peak_bytes, 0u);
+      EXPECT_EQ(r.stats.plan_bytes, 0u);
+      EXPECT_TRUE(r.shard_runs.empty());
+      EXPECT_TRUE(r.shard_note.empty());
+
+      const std::optional<JoinAlgorithm> algo = TetrisAlgorithmOf(kind);
+      if (!algo.has_value()) continue;
+      const JoinRunResult direct =
+          RunTetrisJoin(q.query, IndexPtrs(owned), depth, *algo);
+      const TetrisStats& got = r.stats.tetris;
+      const TetrisStats& want = direct.stats;
+      EXPECT_EQ(got.resolutions, want.resolutions);
+      EXPECT_EQ(got.gap_resolutions, want.gap_resolutions);
+      EXPECT_EQ(got.output_resolutions, want.output_resolutions);
+      EXPECT_EQ(got.kb_inserts, want.kb_inserts);
+      EXPECT_EQ(got.boxes_loaded, want.boxes_loaded);
+      EXPECT_EQ(got.skeleton_nodes, want.skeleton_nodes);
+      EXPECT_EQ(got.skeleton_calls, want.skeleton_calls);
+      EXPECT_EQ(got.outputs, want.outputs);
+      EXPECT_EQ(got.restarts, want.restarts);
+      EXPECT_EQ(got.kb_peak_bytes, want.kb_peak_bytes);
+      EXPECT_EQ(r.stats.input_gap_boxes, direct.input_gap_boxes);
+      EXPECT_EQ(r.stats.oracle_probes, direct.oracle_probes);
+      EXPECT_EQ(r.stats.memory.index_bytes, direct.index_bytes);
+      EXPECT_EQ(r.stats.output_tuples, direct.output.size());
+    }
+  }
 }
 
 }  // namespace

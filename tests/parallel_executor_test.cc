@@ -12,6 +12,7 @@
 #include <set>
 #include <vector>
 
+#include "engine/incremental.h"
 #include "engine/join_engine.h"
 #include "engine/shard_planner.h"
 #include "index/index_view.h"
@@ -119,9 +120,10 @@ TEST(ParallelForTest, CoversTheWholeRange) {
   constexpr int kN = 57;
   std::vector<std::atomic<int>> hits(kN);
   for (auto& h : hits) h.store(0);
-  ParallelFor(/*threads=*/3, kN, [&hits](int i) { ++hits[i]; });
+  ParallelFor(/*pool=*/nullptr, /*max_parallel=*/3, kN,
+              [&hits](int i) { ++hits[i]; });
   for (int i = 0; i < kN; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
-  ParallelFor(/*threads=*/3, 0, [](int) { FAIL(); });
+  ParallelFor(/*pool=*/nullptr, /*max_parallel=*/3, 0, [](int) { FAIL(); });
 }
 
 // Sharded output == unsharded output, engine by engine. This is the
@@ -138,6 +140,9 @@ TEST(RunShardedJoinTest, ShardedMatchesUnshardedForEveryEngine) {
   for (size_t w = 0; w < workloads.size(); ++w) {
     SCOPED_TRACE(w);
     const QueryInstance& q = workloads[w];
+    // Plain and sharded runs share the merge, so agreeing with each other
+    // is not enough: both must match the brute-force reference.
+    const std::vector<Tuple> reference = q.query.BruteForceJoin(q.depth);
     for (EngineKind kind : AllEngineKinds()) {
       SCOPED_TRACE(EngineKindName(kind));
       EngineResult plain = RunJoin(q.query, kind);
@@ -152,6 +157,7 @@ TEST(RunShardedJoinTest, ShardedMatchesUnshardedForEveryEngine) {
       }
       ASSERT_TRUE(plain.ok) << plain.error;
       ASSERT_TRUE(sharded.ok) << sharded.error;
+      EXPECT_EQ(plain.tuples, reference);
       EXPECT_EQ(sharded.tuples, plain.tuples);
       EXPECT_EQ(sharded.stats.output_tuples, plain.stats.output_tuples);
       EXPECT_EQ(sharded.stats.shards, 4u);
@@ -539,6 +545,48 @@ TEST(RunShardedJoinTest, ShardedRunHonorsOrderHints) {
   EngineResult plain = RunJoin(q.query, EngineKind::kLeapfrog, plain_opts);
   ASSERT_TRUE(plain.ok);
   EXPECT_EQ(sharded.tuples, plain.tuples);
+}
+
+// The final result's output_bytes describes the facade tuples it holds,
+// whichever entry point produced it: plain, sharded, batched and patched
+// runs of one query report the same figure.
+TEST(RunShardedJoinTest, EveryEntryPointReportsOneOutputBytes) {
+  QueryInstance q = RandomTriangle(/*tuples_per_rel=*/60, /*d=*/4,
+                                   /*seed=*/31);
+  std::vector<const Relation*> pool;
+  for (const auto& rel : q.storage) pool.push_back(rel.get());
+  for (EngineKind kind : {EngineKind::kTetrisPreloaded, EngineKind::kLeapfrog,
+                          EngineKind::kPairwiseHash}) {
+    SCOPED_TRACE(EngineKindName(kind));
+    const EngineResult plain = RunJoin(q.query, kind);
+    ASSERT_TRUE(plain.ok) << plain.error;
+    ASSERT_GT(plain.tuples.size(), 0u);
+    const size_t want = plain.tuples.size() *
+                        (sizeof(Tuple) + q.query.num_attrs() * sizeof(uint64_t));
+    EXPECT_EQ(plain.stats.memory.output_bytes, want);
+
+    EngineOptions sharded_opts;
+    sharded_opts.shards = 4;
+    const EngineResult sharded = RunJoin(q.query, kind, sharded_opts);
+    ASSERT_TRUE(sharded.ok) << sharded.error;
+    EXPECT_EQ(sharded.stats.memory.output_bytes, want);
+
+    const BatchResult batch = RunBatch(pool, {q.query}, kind);
+    ASSERT_TRUE(batch.ok) << batch.error;
+    ASSERT_TRUE(batch.results[0].ok) << batch.results[0].error;
+    EXPECT_EQ(batch.results[0].stats.memory.output_bytes, want);
+
+    // Patch the unchanged result over half the output space: the re-run
+    // half is spliced back in and the answer is the same.
+    DyadicBox half = DyadicBox::Universal(q.query.num_attrs());
+    half[0] = half[0].Child(0);
+    const PatchResult patched =
+        PatchJoin(q.query, kind, {}, plain.tuples, {half});
+    ASSERT_TRUE(patched.result.ok) << patched.result.error;
+    EXPECT_FALSE(patched.full_recompute);
+    EXPECT_EQ(patched.result.tuples, plain.tuples);
+    EXPECT_EQ(patched.result.stats.memory.output_bytes, want);
+  }
 }
 
 }  // namespace

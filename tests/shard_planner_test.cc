@@ -45,10 +45,18 @@ TEST(ShardPlannerTest, DefaultPlanIsOneUniversalShard) {
   EXPECT_EQ(plan.shards[0].box, DyadicBox::Universal(q.query.num_attrs()));
   EXPECT_TRUE(plan.budget_ok);
   EXPECT_TRUE(plan.note.empty());
+  // The one shard is the whole input: no row is bucketed, and the
+  // payload estimate still counts every row.
+  EXPECT_TRUE(plan.buckets.empty());
+  EXPECT_EQ(plan.PlanningBytes(), sizeof(Shard));
+  size_t payload = 0;
   for (size_t a = 0; a < q.query.atoms().size(); ++a) {
-    ASSERT_NE(plan.AtomRows(0, a), nullptr);
-    EXPECT_EQ(plan.AtomRows(0, a)->size(), q.query.atoms()[a].rel->size());
+    EXPECT_EQ(plan.AtomRows(0, a), nullptr);
+    const Relation& rel = *q.query.atoms()[a].rel;
+    payload += EstimateAtomBytes(rel.size(), rel.arity());
   }
+  EXPECT_EQ(plan.shards[0].payload_bytes, payload);
+  EXPECT_FALSE(plan.shards[0].empty);
   MaterializedShard ms = MaterializeShard(q.query, plan, 0);
   for (size_t a = 0; a < q.query.atoms().size(); ++a) {
     EXPECT_EQ(ms.query.atoms()[a].rel->raw(),
@@ -196,16 +204,17 @@ TEST(ShardPlannerTest, RestrictedQueriesKeepAttributeIds) {
 TEST(ShardPlannerTest, PlanningBytesStayFlatAsTheSplitGrows) {
   QueryInstance q = RandomTriangle(/*tuples_per_rel=*/80, /*d=*/5,
                                    /*seed=*/22);
-  ShardPlanOptions one;
-  one.shards = 1;
-  const size_t base = PlanShards(q.query, one).PlanningBytes();
+  // The coarsest bucketed plan: a single-shard plan buckets nothing.
+  ShardPlanOptions two;
+  two.shards = 2;
+  const size_t base = PlanShards(q.query, two).PlanningBytes();
   ShardPlanOptions many;
   many.shards = 64;
   const size_t fine = PlanShards(q.query, many).PlanningBytes();
   // The old materializing planner copied every atom into its shards, so
   // its residency scaled with the split; bucket row lists stay within a
-  // small constant (the per-shard Shard structs) of the single-shard
-  // plan no matter how fine the split.
+  // small constant (the per-shard Shard structs) of the 2-shard plan no
+  // matter how fine the split.
   EXPECT_LT(fine, 2 * base + 64 * sizeof(Shard) + 1024);
 }
 
